@@ -36,8 +36,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
-from . import flatbuf
-
 __all__ = [
     "maximum_antichain",
     "maximum_antichain_from_adjacency",
@@ -46,6 +44,7 @@ __all__ = [
     "is_antichain",
     "brute_force_maximum_antichain",
     "antichain_indices_from_rows",
+    "closure_from_rows",
     "PersistentAntichain",
 ]
 
@@ -298,17 +297,47 @@ def is_antichain(
     return True
 
 
-def _closure_from_rows(rows: Sequence[int]) -> Optional[List[int]]:
+def closure_from_rows(rows: Sequence[int]) -> Optional[List[int]]:
     """Transitive-closure bitsets of a bit relation, or None on a cycle.
 
-    Shared by the from-scratch reference path and the persistent engine's
-    seeding, so the two can never diverge.  The word-op kernel itself lives
-    in :mod:`repro.analysis.flatbuf` (scalar big-int Kahn + reverse-topo
-    accumulation, with a numpy word-matrix form for wide ground sets); the
-    closure of a DAG is unique, so every backend returns identical bitsets.
+    Kahn over the bit relation, then closure accumulation in reverse
+    topological order with big-int ORs.  Shared by the from-scratch
+    reference path and the persistent engine's seeding, so the two can
+    never diverge.
     """
 
-    return flatbuf.closure_from_rows(rows)
+    n = len(rows)
+    indeg = [0] * n
+    for mask in rows:
+        while mask:
+            low = mask & -mask
+            indeg[low.bit_length() - 1] += 1
+            mask ^= low
+    stack = [i for i in range(n) if indeg[i] == 0]
+    order: List[int] = []
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        mask = rows[i]
+        while mask:
+            low = mask & -mask
+            j = low.bit_length() - 1
+            mask ^= low
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                stack.append(j)
+    if len(order) != n:
+        return None
+    closure = [0] * n
+    for i in reversed(order):
+        acc = 0
+        mask = rows[i]
+        while mask:
+            low = mask & -mask
+            acc |= low | closure[low.bit_length() - 1]
+            mask ^= low
+        closure[i] = acc
+    return closure
 
 
 def antichain_indices_from_rows(rows: Sequence[int]) -> Optional[List[int]]:
@@ -318,7 +347,7 @@ def antichain_indices_from_rows(rows: Sequence[int]) -> Optional[List[int]]:
     set means ``i < j``); the relation need not be transitively closed.  The
     from-scratch pipeline is the one the incremental saturation engine ran
     per candidate per iteration before :class:`PersistentAntichain` existed:
-    closure bitsets via :func:`_closure_from_rows`, ascending adjacency
+    closure bitsets via :func:`closure_from_rows`, ascending adjacency
     lists, then the shared matching/Koenig path.  Returns None when the
     relation has a cycle (the caller falls back to the generic antichain
     machinery).  This is the reference implementation the persistent engine
@@ -328,7 +357,7 @@ def antichain_indices_from_rows(rows: Sequence[int]) -> Optional[List[int]]:
     n = len(rows)
     if n == 0:
         return []
-    closure = _closure_from_rows(rows)
+    closure = closure_from_rows(rows)
     if closure is None:
         return None
     adj: List[List[int]] = []
@@ -410,7 +439,7 @@ class PersistentAntichain:
     def _seed(self, rows: Sequence[int]) -> None:
         """Bulk-build the closure from raw successor bitsets."""
 
-        closure = _closure_from_rows(rows)
+        closure = closure_from_rows(rows)
         if closure is None:
             self.cyclic = True
             return

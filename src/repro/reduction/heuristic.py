@@ -48,7 +48,6 @@ from __future__ import annotations
 import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..analysis import flatbuf, shm
 from ..analysis.context import context_for
 from ..analysis.store import active_store
 from ..core.graph import DDG, Edge
@@ -153,12 +152,6 @@ class _SessionDriver:
             ddg, rtype, mode=mode, prune_redundant=prune_redundant
         )
         self.pruned = self.session.pruned
-        # Module-wide counter snapshots: engine_details reports this run's
-        # deltas (kernel calls are counted in flatbuf, shm attaches in the
-        # worker process that unpickled the instance).
-        self._kernel_calls_start = flatbuf.counters["vector_kernel_calls"]
-        self._block_patches_start = flatbuf.counters["row_block_patches"]
-        self._bulk_seeds_start = flatbuf.counters["mirror_bulk_seeds"]
 
     def critical_path(self) -> int:
         return self.session.critical_path()
@@ -201,25 +194,6 @@ class _SessionDriver:
                 **self.session.saturation_stats,
                 "killing_set_hits": cache.hits,
                 "killing_set_misses": cache.misses,
-                # Vectorized-core observability (execution detail like the
-                # stage timings below: never part of compared report bytes).
-                "vector_backend": flatbuf.backend(),
-                "vector_kernel_calls": (
-                    flatbuf.counters["vector_kernel_calls"]
-                    - self._kernel_calls_start
-                ),
-                # Batched-push-path counters (backend-independent: they
-                # count the path being taken, not vectorized execution).
-                "row_block_patches": (
-                    flatbuf.counters["row_block_patches"]
-                    - self._block_patches_start
-                ),
-                "mirror_bulk_seeds": (
-                    flatbuf.counters["mirror_bulk_seeds"]
-                    - self._bulk_seeds_start
-                ),
-                "shm_attaches": shm.counters["attaches"],
-                "shm_fallbacks": shm.counters["fallbacks"],
                 # Monotonic per-stage wall-clock totals (seconds), keyed by
                 # engine stage; the benchmark's bottleneck profile and the
                 # CI artifact read these instead of caller-attributed

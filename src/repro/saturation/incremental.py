@@ -88,25 +88,15 @@ class _AnalysisFrame:
     records: List[_AppliedArc] = field(default_factory=list)
     desc_incl: Optional[Dict[str, Set[str]]] = None
     desc_excl: Optional[Dict[str, Set[str]]] = None
-    #: Legacy per-row copy-on-write epoch: the whole pre-push row dict.
-    #: ``None`` under block frames, where rows are patched in place and the
-    #: frame instead records `block_patches` / `added_rows`.
-    lp_rows: Optional[Dict[int, List[float]]] = None
+    #: The pre-push row dict: each push copies the dict and patches rows
+    #: copy-on-write, so pop restores this epoch by reference.
+    lp_rows: Dict[int, List[float]] = field(default_factory=dict)
     #: Warm rows whose entries grew during this push: src id -> changed
     #: target ids (possibly with duplicates when several arcs moved the same
     #: entry; consumers fold them through idempotent bit ORs).  The DV-DAG
     #: dirty-region update uses it to recheck exactly the pairs whose
     #: longest path moved.
     lp_changes: Dict[int, List[int]] = field(default_factory=dict)
-    #: Block undo records, one per `max_merge_rows` call: ``(row ids,
-    #: pre-image snapshots)`` with the snapshots stored as one contiguous
-    #: row block (see :func:`repro.analysis.flatbuf.max_merge_rows`).
-    #: Restored in reverse on pop, after `added_rows` are dropped.
-    block_patches: List[Tuple[List[int], List]] = field(default_factory=list)
-    #: Row ids first cached during this frame's epoch (block mode only);
-    #: pop deletes them, matching the legacy epoch-dict restore, which also
-    #: dropped rows cached after the push.
-    added_rows: List[int] = field(default_factory=list)
 
 
 class IncrementalAnalysis:
@@ -130,19 +120,9 @@ class IncrementalAnalysis:
         ddg: DDG,
         track_reachability: bool = True,
         interner: Optional[OpInterner] = None,
-        frame_mode: str = "block",
     ) -> None:
-        if frame_mode not in ("block", "per-row"):
-            raise ValueError(
-                "frame_mode must be 'block' or 'per-row', got %r" % (frame_mode,)
-            )
         self._g = ddg
         self._track_reachability = track_reachability
-        #: Block frames (the default) patch rows in place through the
-        #: `max_merge_rows` batch kernel and undo from contiguous pre-image
-        #: blocks; ``per-row`` keeps the PR-6 copy-on-write epoch dicts (the
-        #: reference mode `tests/test_batchpush.py` proves byte-identical).
-        self._block_frames = frame_mode == "block"
         if interner is None:
             interner = OpInterner(ddg.nodes())
         else:
@@ -270,23 +250,7 @@ class IncrementalAnalysis:
                 nd = d + w
                 if nd > dist[ni]:
                     dist[ni] = nd
-        # The relaxation runs over a plain list (scalar index writes); the
-        # finished row moves to the active kernel backend's buffer type so
-        # every later patch is a whole-row kernel call.  The width-gated
-        # constructor keeps narrow rows as plain lists, where the scalar
-        # loops measure faster than the ndarray kernels.
-        return flatbuf.row_buffer(dist)
-
-    def _note_added_row(self, src_id: int) -> None:
-        """Register a freshly cached row with the top block frame.
-
-        Under block frames the row dict is mutated in place, so pop must
-        know which entries joined during the epoch; the legacy mode needs
-        nothing (its frame holds the whole pre-push dict).
-        """
-
-        if self._block_frames and self._frames:
-            self._frames[-1].added_rows.append(src_id)
+        return dist
 
     def row(self, src_id: int) -> List[float]:
         """Exact flat longest-path row from op *src_id* (kept warm)."""
@@ -295,37 +259,7 @@ class IncrementalAnalysis:
         if row is None:
             row = self._compute_row_flat(src_id)
             self._lp_rows[src_id] = row
-            self._note_added_row(src_id)
         return row
-
-    def rows_multi(self, src_ids: List[int]) -> List[List[float]]:
-        """Warm rows for several sources, seeding the cold ones in one pass.
-
-        The cold rows are relaxed together by
-        :func:`repro.analysis.flatbuf.relax_sources` -- one walk over the
-        shared topological order filling a (missing x n) buffer -- instead
-        of one relaxation per source; this is the killed-mirror rebuild/
-        reseed batch path.  Rows already warm are returned as cached.
-        """
-
-        missing: List[int] = []
-        seen: Set[int] = set()
-        for sid in src_ids:
-            if sid not in self._lp_rows and sid not in seen:
-                seen.add(sid)
-                missing.append(sid)
-        if len(missing) >= 2:
-            adj = self._adj_pairs()
-            order = self._topo_order_ids()
-            pos = self._topo_pos
-            start = min(pos[sid] for sid in missing)
-            seeded = flatbuf.relax_sources(adj, order, start, missing, self._n)
-            for sid, row in zip(missing, seeded):
-                self._lp_rows[sid] = row
-                self._note_added_row(sid)
-        elif missing:
-            self.row(missing[0])
-        return [self.row(sid) for sid in src_ids]
 
     def row_by_name(self, src: str) -> List[float]:
         """Flat warm row from the operation named *src*."""
@@ -342,7 +276,7 @@ class IncrementalAnalysis:
         """
 
         row = self.row(self._interner.id(src))
-        return dict(zip(self._interner.names(), flatbuf.row_to_list(row)))
+        return dict(zip(self._interner.names(), row))
 
     def _transient_row_flat(self, src_id: int) -> List[float]:
         """A flat row for one-shot use that must NOT join the warm set.
@@ -362,7 +296,7 @@ class IncrementalAnalysis:
         """Name-keyed view of :meth:`_transient_row_flat` (boundary/compat)."""
 
         row = self._transient_row_flat(self._interner.id(src))
-        return dict(zip(self._interner.names(), flatbuf.row_to_list(row)))
+        return dict(zip(self._interner.names(), row))
 
     def remains_acyclic_with_edges(self, edges) -> bool:
         return graphalgo.mini_graph_remains_acyclic(
@@ -408,11 +342,9 @@ class IncrementalAnalysis:
         """Drop the cached flat row from op *src_id* (recomputed on demand).
 
         The candidate-patch path uses this for rows its validity criterion
-        cannot prove unchanged; it runs only after :meth:`rebase` cleared
-        the frame stack, so under block frames there is never a live
-        pre-image snapshot pointing at the evicted row (the legacy per-row
-        mode is unconditionally safe: every push replaces the top-level row
-        dict copy-on-write).
+        cannot prove unchanged.  Undo stays exact: every push replaces the
+        top-level row dict copy-on-write, so an eviction never reaches an
+        older epoch.
         """
 
         self._lp_rows.pop(src_id, None)
@@ -444,22 +376,18 @@ class IncrementalAnalysis:
 
         if self._track_reachability:
             self._ensure_desc()
-        block = self._block_frames
         frame = _AnalysisFrame(
             desc_incl=self._desc_incl,
             desc_excl=self._desc_excl,
-            lp_rows=None if block else self._lp_rows,
+            lp_rows=self._lp_rows,
         )
         # Copy-on-write epoch: top-level dicts are fresh, the sets/rows they
-        # point to are shared until individually patched.  Block frames skip
-        # the row-dict copy entirely -- rows are patched in place and the
-        # frame records pre-image blocks instead.
+        # point to are shared until individually patched.
         track_desc = self._desc_incl is not None
         if track_desc:
             self._desc_incl = dict(self._desc_incl)  # type: ignore[arg-type]
             self._desc_excl = dict(self._desc_excl)  # type: ignore[arg-type]
-        if not block:
-            self._lp_rows = dict(self._lp_rows)
+        self._lp_rows = dict(self._lp_rows)
         iid = self._interner.id
 
         for edge in edges:
@@ -498,54 +426,23 @@ class IncrementalAnalysis:
                 self._adj_version = self._g.version
 
             # Longest-path rows: lp'(x, y) = max(lp(x, y), lp(x, src)+w+lp(dst, y)).
-            # The reachable continuation entries are hoisted once per arc.
+            # The reachable continuation entries are hoisted once per arc;
+            # each affected row is one whole-row max-merge whose first
+            # improvement triggers one copy-on-write row copy.
             w = edge.latency
             finite = flatbuf.finite_entries(row_dst)
-            if block:
-                # Batched push path: every dirty row under this arc goes
-                # through one (rows x n) block kernel that patches in place;
-                # the kernel's pre-image snapshots are the undo record.
-                sids: List[int] = []
-                rows: List[List[float]] = []
-                shifts: List[float] = []
-                for sid, row in self._lp_rows.items():
-                    base = row[src_id]
-                    if base == _NEG_INF:
-                        continue
-                    sids.append(sid)
-                    rows.append(row)
-                    shifts.append(base + w)
-                if rows:
-                    positions, cols, snaps = flatbuf.max_merge_rows(
-                        rows, shifts, finite
-                    )
-                    if positions:
-                        frame.block_patches.append(
-                            ([sids[p] for p in positions], snaps)
-                        )
-                        for p, changed in zip(positions, cols):
-                            sid = sids[p]
-                            previous = frame.lp_changes.get(sid)
-                            if previous is None:
-                                frame.lp_changes[sid] = changed
-                            else:
-                                previous.extend(changed)
-            else:
-                # Legacy per-row path: each affected row is one whole-row
-                # max-merge kernel call whose first improvement triggers one
-                # memcpy-cheap copy-on-write buffer copy.
-                for sid, row in list(self._lp_rows.items()):
-                    base = row[src_id]
-                    if base == _NEG_INF:
-                        continue
-                    patched, changed = flatbuf.max_merge(row, base + w, finite)
-                    if patched is not None:
-                        self._lp_rows[sid] = patched
-                        previous = frame.lp_changes.get(sid)
-                        if previous is None:
-                            frame.lp_changes[sid] = changed  # type: ignore[assignment]
-                        else:
-                            previous.extend(changed)  # type: ignore[arg-type]
+            for sid, row in list(self._lp_rows.items()):
+                base = row[src_id]
+                if base == _NEG_INF:
+                    continue
+                patched, changed = flatbuf.max_merge(row, base + w, finite)
+                if patched is not None:
+                    self._lp_rows[sid] = patched
+                    previous = frame.lp_changes.get(sid)
+                    if previous is None:
+                        frame.lp_changes[sid] = changed  # type: ignore[assignment]
+                    else:
+                        previous.extend(changed)  # type: ignore[arg-type]
 
             ancestors: Optional[Set[str]] = None
             addition: Optional[FrozenSet[str]] = None
@@ -598,23 +495,7 @@ class IncrementalAnalysis:
                 self._adj_version = self._g.version
         self._desc_incl = frame.desc_incl
         self._desc_excl = frame.desc_excl
-        if self._block_frames:
-            lp = self._lp_rows
-            # Rows first cached during this epoch go before the pre-images
-            # are restored: a row that was evicted and re-seeded inside the
-            # same epoch is in `added_rows` *and* has a snapshot, and must
-            # end as its pre-image, not deleted.
-            for sid in frame.added_rows:
-                lp.pop(sid, None)
-            for sids, snaps in reversed(frame.block_patches):
-                for sid, snap in zip(sids, snaps):
-                    row = lp.get(sid)
-                    if row is None:
-                        lp[sid] = snap
-                    else:
-                        row[:] = snap
-        else:
-            self._lp_rows = frame.lp_rows  # type: ignore[assignment]
+        self._lp_rows = frame.lp_rows
         self._inject()
 
     def _inject(self) -> None:
@@ -703,9 +584,6 @@ class _CandidateDVState:
         self._delta_w = delta_w
         #: delta_w as a flat list over value indices (the hot threshold scan).
         self._dw: List[int] = [delta_w[i] for i in range(len(values))]
-        #: Backend handle over (value op ids, delta_w) for the threshold
-        #: kernel; built on first use after rebuild() fills _value_opid.
-        self._threshold_prep = None
         self._stats = stats
         self.valid = False
         self.cyclic = False
@@ -836,18 +714,13 @@ class _CandidateDVState:
             opid_value[vid] = j
         self._opid_value = opid_value
         self._value_opid = value_opid
-        self._threshold_prep = flatbuf.prepare_values(
-            value_opid, self._dw, n=interner.size
-        )
         self._set_killer_structures(kf, killed)
         # Seeding every killer row here is what makes the sync exact: the
-        # mirror patches cached rows and logs each change.  All cold rows
-        # are relaxed together in one multi-source pass.
-        killer_ids = sorted(self._killer_read)
-        rows = self.analysis.rows_multi(killer_ids)
+        # mirror patches cached rows and logs each change.
+        row = self.analysis.row
         self._killer_bits = {
-            kid: self._mask_from_row(row, self._killer_read[kid])
-            for kid, row in zip(killer_ids, rows)
+            kid: self._mask_from_row(row(kid), self._killer_read[kid])
+            for kid in sorted(self._killer_read)
         }
         self._engine = PersistentAntichain(len(self._values), rows=self.dv_rows())
         self.valid = True
@@ -874,13 +747,7 @@ class _CandidateDVState:
     def _mask_from_row(self, row: List[float], read: int) -> int:
         """The killer's DV bitset from its flat longest-path row (threshold test)."""
 
-        prep = self._threshold_prep
-        if prep is None:
-            assert self._interner is not None
-            prep = self._threshold_prep = flatbuf.prepare_values(
-                self._value_opid, self._dw, n=self._interner.size
-            )
-        return flatbuf.threshold_mask(row, prep, read)
+        return flatbuf.threshold_mask(row, self._value_opid, self._dw, read)
 
     def patch(self, bottom_ddg: DDG, kf, pk: Mapping[Value, List[str]]) -> bool:
         """Re-target the warm state onto a new killing function by patching.
@@ -981,15 +848,11 @@ class _CandidateDVState:
         self._set_killer_structures(kf, killed)
         analysis = self.analysis
         bits: Dict[int, int] = {}
-        # Phase 1: per killer, decide reuse / evict-and-reseed / seed.  A
-        # cached row is kept iff it provably cannot see a changed slot (it
-        # reaches no changed arc's source in the old graph, and by induction
-        # on the first changed arc of any new path, none in the new graph
-        # either).  Stale rows are evicted now so phase 2's one multi-source
-        # pass recomputes every needed row together.
-        killer_ids = sorted(self._killer_read)
-        reseed: List[int] = []
-        for killer_id in killer_ids:
+        # Per killer, decide reuse / evict-and-reseed / seed.  A cached row
+        # is kept iff it provably cannot see a changed slot (it reaches no
+        # changed arc's source in the old graph, and by induction on the
+        # first changed arc of any new path, none in the new graph either).
+        for killer_id in sorted(self._killer_read):
             row = analysis._lp_rows.get(killer_id)
             row_ok = row is not None and all(
                 row[s] == _NEG_INF for s in changed_sources
@@ -1001,15 +864,9 @@ class _CandidateDVState:
                     continue
             elif row is not None:
                 analysis.evict_row_id(killer_id)
-            reseed.append(killer_id)
-        # Phase 2: batch-seed the cold killer rows, then threshold them.
-        if reseed:
-            rows = analysis.rows_multi(reseed)
-            for killer_id, row in zip(reseed, rows):
-                bits[killer_id] = self._mask_from_row(
-                    row, self._killer_read[killer_id]
-                )
-        bits = {kid: bits[kid] for kid in killer_ids}
+            bits[killer_id] = self._mask_from_row(
+                analysis.row(killer_id), self._killer_read[killer_id]
+            )
         for killer_id in old_bits:
             if killer_id not in bits:
                 analysis.evict_row_id(killer_id)

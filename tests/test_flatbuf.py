@@ -1,30 +1,21 @@
-"""Parity tests for the vectorized flat-core kernels (``repro.analysis.flatbuf``).
+"""The flat hot core's scalar kernels against their direct definitions.
 
-Every kernel has up to three implementations behind one interface -- numpy
-buffers, ``array('d')``/big-int stdlib buffers, and the exact PR-6 scalar
-reference (``off``).  The reduction engine's byte-identity guarantees rest on
-these being float-for-float identical, so each kernel is exercised on
-randomized inputs (including ``-inf`` sentinels) across all available
-backends and compared against the scalar reference.
+``max_merge`` and ``threshold_mask`` (``repro.analysis.flatbuf``) and the
+bitset closure (``repro.analysis.antichain.closure_from_rows``) carry every
+warm longest-path row and DV relation of the reduction engine.  Each is
+checked on randomized inputs, ``-inf`` sentinels included, against a
+literal evaluation of what it computes -- not against another
+implementation of itself.
 """
 
 from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro.analysis import flatbuf
-from repro.errors import ConfigurationError
+from repro.analysis.antichain import closure_from_rows
 
 NEG_INF = flatbuf.NEG_INF
-
-
-def _available_backends():
-    backends = ["off", "stdlib"]
-    if flatbuf.numpy_available():
-        backends.append("numpy")
-    return backends
 
 
 def _random_row(rng, n, p_inf=0.3):
@@ -34,289 +25,137 @@ def _random_row(rng, n, p_inf=0.3):
     ]
 
 
-class TestBackendSelection:
-    def test_rejects_unknown_spec(self):
-        with pytest.raises(ConfigurationError, match="REPRO_VECTOR"):
-            flatbuf.set_backend("simd")
-        # A failed activation must not clobber the active backend.
-        assert flatbuf.backend() in ("numpy", "stdlib", "off")
-
-    def test_rejects_unknown_env_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR", "fast")
-        try:
-            with pytest.raises(ConfigurationError, match="REPRO_VECTOR"):
-                flatbuf.set_backend(None)
-        finally:
-            monkeypatch.delenv("REPRO_VECTOR")
-            flatbuf.set_backend(None)
-
-    def test_auto_resolves_to_concrete_backend(self):
-        with flatbuf.use("auto") as active:
-            assert active in ("numpy", "stdlib")
-
-    def test_off_roundtrip_is_identity(self):
-        values = [1.0, NEG_INF, 3.5]
-        with flatbuf.use("off"):
-            row = flatbuf.row_from_list(values)
-            assert row is values
-            assert flatbuf.row_to_list(row) is values
-
-    def test_buffer_rows_box_to_builtin_floats(self):
-        values = [1.0, NEG_INF, 3.5]
-        for spec in _available_backends():
-            with flatbuf.use(spec):
-                out = flatbuf.row_to_list(flatbuf.row_from_list(values))
-                assert out == values
-                assert all(type(v) is float for v in out)
+def test_backend_is_scalar():
+    assert flatbuf.backend() == "scalar"
 
 
-class TestMaxMergeParity:
-    def test_randomized_rows_match_scalar_reference(self):
+class TestMaxMerge:
+    def test_randomized_rows_match_definition(self):
         rng = random.Random(20260808)
-        for case in range(200):
+        for case in range(300):
             n = rng.randint(1, 40)
-            row_vals = _random_row(rng, n)
-            dst_vals = _random_row(rng, n, p_inf=rng.choice([0.1, 0.5, 1.0]))
+            row = _random_row(rng, n)
+            dst = _random_row(rng, n, p_inf=rng.choice([0.1, 0.5, 1.0]))
             shift = float(rng.randint(-10, 60))
+            pristine = list(row)
 
-            results = {}
-            for spec in _available_backends():
-                with flatbuf.use(spec):
-                    row = flatbuf.row_from_list(list(row_vals))
-                    finite = flatbuf.finite_entries(flatbuf.row_from_list(dst_vals))
-                    patched, changed = flatbuf.max_merge(row, shift, finite)
-                    if patched is None:
-                        results[spec] = (None, None)
-                    else:
-                        results[spec] = (flatbuf.row_to_list(patched), list(changed))
-                    # The input row is copy-on-write: never mutated.
-                    assert flatbuf.row_to_list(row) == row_vals
+            patched, changed = flatbuf.max_merge(
+                row, shift, flatbuf.finite_entries(dst)
+            )
 
-            reference = results["off"]
-            for spec, got in results.items():
-                assert got == reference, f"case {case}: {spec} diverges"
-            if reference[1] is not None:
-                assert reference[1] == sorted(reference[1]), "ascending contract"
+            expected = [
+                max(row[y], shift + dst[y]) if dst[y] != NEG_INF else row[y]
+                for y in range(n)
+            ]
+            grew = [y for y in range(n) if expected[y] != row[y]]
+            assert row == pristine, f"case {case}: input row mutated"
+            if not grew:
+                assert (patched, changed) == (None, None), f"case {case}"
+                continue
+            assert patched == expected, f"case {case}"
+            assert patched is not row
+            assert changed == grew, f"case {case}: changed indices, ascending"
 
     def test_no_improvement_returns_none(self):
-        for spec in _available_backends():
-            with flatbuf.use(spec):
-                row = flatbuf.row_from_list([5.0, 6.0])
-                finite = flatbuf.finite_entries(flatbuf.row_from_list([0.0, 0.0]))
-                assert flatbuf.max_merge(row, 1.0, finite) == (None, None)
+        row = [5.0, 6.0]
+        finite = flatbuf.finite_entries([0.0, 0.0])
+        assert flatbuf.max_merge(row, 1.0, finite) == (None, None)
+        assert flatbuf.max_merge(row, 99.0, flatbuf.finite_entries([NEG_INF] * 2)) == (
+            None,
+            None,
+        )
+
+    def test_finite_entries_skip_unreachable(self):
+        assert flatbuf.finite_entries([NEG_INF, 0.0, NEG_INF, 3.0]) == [(1, 0.0), (3, 3.0)]
+
+    def test_unreachable_entries_become_reachable(self):
+        row = [0.0, NEG_INF, 7.0]
+        finite = flatbuf.finite_entries([NEG_INF, 2.0, 1.0])
+        assert flatbuf.max_merge(row, 3.0, finite) == ([0.0, 5.0, 7.0], [1])
+        assert row == [0.0, NEG_INF, 7.0]
 
 
-class TestThresholdMaskParity:
-    def test_randomized_rows_match_scalar_reference(self):
+class TestThresholdMask:
+    def test_randomized_rows_match_bitwise_definition(self):
         rng = random.Random(977)
-        for case in range(200):
+        for case in range(300):
             n = rng.randint(1, 48)
             k = rng.randint(0, n)
-            row_vals = _random_row(rng, n)
+            row = _random_row(rng, n)
             vids = rng.sample(range(n), k)
             dw = [rng.randint(0, 4) for _ in range(k)]
             read = rng.randint(-5, 120)
 
-            masks = {}
-            for spec in _available_backends():
-                with flatbuf.use(spec):
-                    row = flatbuf.row_from_list(list(row_vals))
-                    prep = flatbuf.prepare_values(vids, dw)
-                    mask = flatbuf.threshold_mask(row, prep, read)
-                    assert type(mask) is int
-                    masks[spec] = mask
+            mask = flatbuf.threshold_mask(row, vids, dw, read)
 
-            assert len(set(masks.values())) == 1, f"case {case}: {masks}"
+            assert type(mask) is int
+            for j in range(k):
+                lp = row[vids[j]]
+                expected = lp != NEG_INF and lp >= read - dw[j]
+                assert bool(mask >> j & 1) == expected, f"case {case} bit {j}"
+            assert mask >> k == 0, f"case {case}: bits beyond the value set"
 
     def test_empty_value_set_is_zero(self):
-        for spec in _available_backends():
-            with flatbuf.use(spec):
-                row = flatbuf.row_from_list([1.0, 2.0])
-                prep = flatbuf.prepare_values([], [])
-                assert flatbuf.threshold_mask(row, prep, 10) == 0
+        assert flatbuf.threshold_mask([1.0, 2.0], [], [], 10) == 0
+
+    def test_equality_boundary_sets_bit(self):
+        # lp == read - dw is a conflict: bits 0 and 2 sit exactly on it.
+        row = [5.0, NEG_INF, 4.0, 3.0]
+        assert flatbuf.threshold_mask(row, [0, 1, 2, 3], [0, 3, 1, 1], 5) == 0b0101
+
+    def test_unreachable_entries_never_set(self):
+        row = [NEG_INF] * 6
+        assert flatbuf.threshold_mask(row, list(range(6)), [0] * 6, -(10**9)) == 0
 
 
-class TestClosureParity:
-    def _random_dag_rows(self, rng, n):
-        rows = [0] * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < 0.15:
-                    rows[i] |= 1 << j
+def _dfs_reachability(rows):
+    """Strict successors of every vertex by explicit DFS over the bit relation."""
+
+    n = len(rows)
+    out = []
+    for i in range(n):
+        seen = 0
+        stack = [j for j in range(n) if rows[i] >> j & 1]
+        while stack:
+            j = stack.pop()
+            if seen >> j & 1:
+                continue
+            seen |= 1 << j
+            stack.extend(k for k in range(n) if rows[j] >> k & 1)
+        out.append(seen)
+    return out
+
+
+class TestClosure:
+    @staticmethod
+    def _random_dag_rows(rng, n):
         perm = list(range(n))
         rng.shuffle(perm)
-        # Relabel so the DAG is not already topologically ordered.
-        out = [0] * n
-        for i in range(n):
-            acc = 0
-            for j in range(n):
-                if rows[i] >> j & 1:
-                    acc |= 1 << perm[j]
-            out[perm[i]] = acc
-        return out
+        # Edges follow a hidden random order, so the rows are not already
+        # topologically sorted.
+        rows = [0] * n
+        for a in range(n):
+            for b in range(a + 1, n):
+                if rng.random() < 0.15:
+                    rows[perm[a]] |= 1 << perm[b]
+        return rows
 
-    def test_scalar_and_numpy_forms_agree(self):
-        if not flatbuf.numpy_available():
-            pytest.skip("numpy closure form needs numpy")
+    def test_matches_dfs_reachability(self):
         rng = random.Random(4242)
-        for _ in range(40):
-            n = rng.randint(1, 70)
-            rows = self._random_dag_rows(rng, n)
-            assert flatbuf._closure_numpy(rows) == flatbuf._closure_scalar(rows)
+        for _ in range(60):
+            rows = self._random_dag_rows(rng, rng.randint(0, 40))
+            assert closure_from_rows(rows) == _dfs_reachability(rows)
 
-    def test_cycle_returns_none_on_both_forms(self):
-        rows = [0b010, 0b100, 0b001]  # 0 -> 1 -> 2 -> 0
-        assert flatbuf._closure_scalar(rows) is None
-        if flatbuf.numpy_available():
-            assert flatbuf._closure_numpy(rows) is None
+    def test_empty_relation(self):
+        assert closure_from_rows([]) == []
+        assert closure_from_rows([0, 0, 0]) == [0, 0, 0]
 
-    def test_dispatch_returns_scalar_result(self):
-        rows = [0b10, 0b00]
-        for spec in _available_backends():
-            with flatbuf.use(spec):
-                assert flatbuf.closure_from_rows(rows) == [0b10, 0b00]
+    def test_chain_reaches_every_later_vertex(self):
+        n = 50
+        rows = [1 << (i + 1) for i in range(n - 1)] + [0]
+        expected = [((1 << n) - 1) & ~((1 << (i + 1)) - 1) for i in range(n)]
+        assert closure_from_rows(rows) == expected
 
-
-class TestScanPairsParity:
-    def _run_scan(self, spec, n, codes, x_vals, idx, cp, base_cp):
-        """Drive one scan where ``fresh`` fills pairs from the given maps."""
-
-        with flatbuf.use(spec):
-            tables = flatbuf.pair_tables(n * n)
-            assert tables is not None
-            xs, arcs = tables
-            fills = []
-
-            def fresh(a, b, key):
-                fills.append(key)
-                arcs[key] = codes[key]
-                if codes[key] >= 0:
-                    xs[key] = x_vals[key]
-
-            # Pre-seed a random subset as already-cached verdicts.
-            for key in sorted(codes):
-                if key % 3 == 0:
-                    arcs[key] = codes[key]
-                    if codes[key] >= 0:
-                        xs[key] = x_vals[key]
-
-            best, best_key, implied, reused = flatbuf.scan_pairs(
-                xs, arcs, idx, n, cp, base_cp, fresh
-            )
-            return best, best_key, implied, reused, sorted(fills)
-
-    def test_randomized_scans_match_stdlib_reference(self):
-        rng = random.Random(31337)
-        specs = [s for s in _available_backends() if s != "off"]
-        for case in range(150):
-            n = rng.randint(2, 14)
-            k = rng.randint(2, n)
-            idx = rng.sample(range(n), k)
-            cp = rng.randint(0, 40)
-            base_cp = rng.randint(0, cp) if cp else 0
-            codes = {}
-            x_vals = {}
-            for a in range(k):
-                for b in range(k):
-                    if a == b:
-                        continue
-                    key = idx[a] * n + idx[b]
-                    codes[key] = rng.choice([-3, -2, 0, 1, 2, 3])
-                    x_vals[key] = float(rng.randint(0, 60))
-
-            results = {
-                spec: self._run_scan(spec, n, codes, x_vals, idx, cp, base_cp)
-                for spec in specs
-            }
-            reference = results["stdlib"]
-            for spec, got in results.items():
-                assert got == reference, f"case {case}: {spec} diverges"
-
-    def test_all_pairs_inapplicable(self):
-        for spec in [s for s in _available_backends() if s != "off"]:
-            with flatbuf.use(spec):
-                n = 3
-                tables = flatbuf.pair_tables(n * n)
-                xs, arcs = tables
-                for key in range(n * n):
-                    arcs[key] = -3
-
-                best, best_key, implied, reused = flatbuf.scan_pairs(
-                    xs, arcs, [0, 2], n, 5, 5, lambda a, b, key: None
-                )
-                assert best is None and best_key is None
-                assert implied == 0 and reused == 2
-
-    def test_off_backend_has_no_tables(self):
-        with flatbuf.use("off"):
-            assert flatbuf.pair_tables(16) is None
-
-
-class TestReductionByteIdentity:
-    """End-to-end: identical ReductionResult reports across kernel backends."""
-
-    @pytest.fixture()
-    def instance(self):
-        from repro.codes import kernel_suite
-
-        entry = {e.name: e for e in kernel_suite()}["linpack-daxpy-u4"]
-        return entry.ddg, entry.ddg.register_types()[0]
-
-    @staticmethod
-    def _normalized(result):
-        details = {
-            k: v
-            for k, v in sorted(result.details.items())
-            if k not in ("engine", "engine_stats")
-        }
-        graph = result.extended_ddg
-        return repr(
-            (
-                result.rtype.name,
-                result.target,
-                result.success,
-                result.original_rs,
-                result.achieved_rs,
-                result.added_edges,
-                result.critical_path_before,
-                result.critical_path_after,
-                result.method,
-                result.optimal,
-                details,
-                sorted(
-                    (e.src, e.dst, e.latency, e.kind.value,
-                     None if e.rtype is None else e.rtype.name)
-                    for e in graph.edges()
-                ),
-            )
-        ).encode()
-
-    def test_reports_byte_identical_across_backends(self, instance):
-        from repro.reduction import reduce_saturation_heuristic
-
-        ddg, rtype = instance
-        reports = {}
-        for spec in _available_backends():
-            with flatbuf.use(spec):
-                result = reduce_saturation_heuristic(
-                    ddg.copy(), rtype, 4, engine="incremental"
-                )
-                reports[spec] = self._normalized(result)
-                stats = result.details["engine_stats"]
-                assert stats["vector_backend"] == spec
-                if spec == "off":
-                    assert stats["vector_kernel_calls"] == 0
-                else:
-                    assert stats["vector_kernel_calls"] > 0
-
-        assert len(set(reports.values())) == 1, sorted(reports)
-
-    def test_engine_stats_expose_shm_counters(self, instance):
-        from repro.reduction import reduce_saturation_heuristic
-
-        ddg, rtype = instance
-        result = reduce_saturation_heuristic(
-            ddg.copy(), rtype, 4, engine="incremental"
-        )
-        stats = result.details["engine_stats"]
-        assert "shm_attaches" in stats and "shm_fallbacks" in stats
+    def test_cycle_returns_none(self):
+        assert closure_from_rows([0b010, 0b100, 0b001]) is None  # 0 -> 1 -> 2 -> 0
+        assert closure_from_rows([0b1]) is None  # self-loop

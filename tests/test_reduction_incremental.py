@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis import graphalgo
 from repro.analysis.context import context_for
 from repro.codes.generator import (
     layered_random_ddg,
@@ -21,7 +22,9 @@ from repro.codes.generator import (
 )
 from repro.codes.kernels import figure2_dag
 from repro.codes.suite import kernel_suite
-from repro.core.types import INT, Value
+from repro.core.graph import Edge
+from repro.core.types import INT, DependenceKind, Value
+from repro.errors import CyclicGraphError
 from repro.reduction import (
     ReductionSession,
     reduce_saturation_heuristic,
@@ -356,10 +359,12 @@ class TestUndoSafety:
                 break
             pushes += 1
             fingerprints.append(session.analysis_fingerprint())
+            assert session.critical_path() == graphalgo.critical_path_length(session.ddg)
         assert pushes >= 1, "population must admit at least one serialization"
         for expected in reversed(fingerprints[:-1]):
             session.pop()
             assert session.analysis_fingerprint() == expected
+            assert session.critical_path() == graphalgo.critical_path_length(session.ddg)
 
     def test_pop_restores_version_and_graph(self):
         ddg = figure2_dag()
@@ -374,6 +379,19 @@ class TestUndoSafety:
             (e.src, e.dst, e.latency, e.kind.value) for e in session.ddg.edges()
         )
         assert edges_before == edges_after
+
+    def test_back_arc_push_raises_before_mutation(self):
+        session = ReductionSession(figure2_dag(), INT)
+        assert _push_one(session, session.saturation())
+        g = session.ddg
+        edges = sorted((e.src, e.dst, e.latency, e.kind.value) for e in g.edges())
+        version = g.version
+        src, dst = edges[0][:2]
+        with pytest.raises(CyclicGraphError):
+            session.push([Edge(dst, src, 1, DependenceKind.SERIAL, None)])
+        assert session.depth == 1
+        assert g.version == version
+        assert sorted((e.src, e.dst, e.latency, e.kind.value) for e in g.edges()) == edges
 
     def test_pop_on_empty_session_raises(self):
         session = ReductionSession(figure2_dag(), INT)
@@ -439,6 +457,27 @@ class TestIncrementalAnalysisExactness:
             for node in nodes[:5]:
                 assert analysis.lp_row(node) == graphalgo.longest_paths_from(ddg, node)
         assert pushed >= 1
+
+    def test_pop_after_evict_and_reseed_restores_rows(self):
+        ddg = layered_random_ddg(nodes=14, layers=3, seed=7)
+        analysis = IncrementalAnalysis(ddg)
+        nodes = ddg.nodes()
+        before = {node: analysis.lp_row(node) for node in nodes[:4]}
+        desc = context_for(ddg).descendants_map(include_self=False)
+        u, v = next(
+            (u, v)
+            for u in nodes
+            for v in nodes
+            if u != v and u not in desc[v] and v not in desc[u]
+        )
+        analysis.push([Edge(u, v, 3, DependenceKind.SERIAL, None)])
+        for node in before:
+            analysis.evict_row_id(analysis.op_id(node))
+            analysis.lp_row(node)  # re-seeded inside the pushed epoch
+        assert any(analysis.lp_row(node) != row for node, row in before.items())
+        analysis.pop()
+        for node, row in before.items():
+            assert analysis.lp_row(node) == row == graphalgo.longest_paths_from(ddg, node)
 
     def test_injected_context_analyses_match(self):
         ddg = layered_random_ddg(nodes=16, layers=4, seed=9)

@@ -16,7 +16,7 @@ from multiprocessing import get_context, shared_memory
 import pytest
 
 from repro.analysis import shm
-from repro.codes import kernel_suite
+from repro.codes import kernel_suite, scale_suite
 from repro.core import DDGBuilder
 from repro.core.graph import DDG
 from repro.errors import ConfigurationError
@@ -86,6 +86,20 @@ class TestRoundTrip:
         with shm.GraphExporter() as exporter:
             proxy = exporter.pack(entry.ddg)
             assert len(pickle.dumps(proxy)) * 5 < len(pickle.dumps(entry.ddg))
+        # A batch of scale items with several budgets per graph, like the
+        # experiment drivers send: each graph is exported once and the batch
+        # moves at least 10x fewer pickled bytes.
+        tier = scale_suite(sizes=(40, 48), superblock_sizes=())
+        items = [
+            (e.name, e.ddg, e.ddg.register_types()[0], budget)
+            for e in tier
+            for budget in (4, 6, 8)
+        ]
+        plain = sum(len(pickle.dumps(item)) for item in items)
+        with shm.GraphExporter() as exporter:
+            packed = sum(len(pickle.dumps(exporter.pack(item))) for item in items)
+            assert exporter.exported == len(tier)
+        assert plain >= 10 * packed
 
     def test_same_graph_exported_once(self):
         g = _sample_ddg()
@@ -214,3 +228,24 @@ class TestEngineIntegration:
         results = engine.map(_worker_signature, [g] * 3)
         assert all(sig == _graph_signature(g.copy()) for sig in results)
         assert shm.counters["exports"] == 0
+
+    def test_reduction_engine_stats_ignore_shm_attaches(self):
+        """A reduction's counters describe that run, not the process history."""
+
+        from repro.reduction import reduce_saturation_heuristic
+
+        entry = {e.name: e for e in kernel_suite()}["linpack-daxpy-u4"]
+        rtype = entry.ddg.register_types()[0]
+
+        def counters():
+            result = reduce_saturation_heuristic(
+                entry.ddg.copy(), rtype, 4, engine="incremental"
+            )
+            stats = result.details["engine_stats"]
+            return {k: v for k, v in stats.items() if type(v) is int}
+
+        first = counters()
+        with shm.GraphExporter() as exporter:
+            pickle.loads(pickle.dumps(exporter.pack(_sample_ddg())))
+        assert shm.counters["attaches"] == 1
+        assert counters() == first
