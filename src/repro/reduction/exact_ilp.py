@@ -46,7 +46,7 @@ from ..core.lifetime import register_need, value_lifetimes
 from ..core.machine import ProcessorModel
 from ..core.schedule import Schedule
 from ..core.types import BOTTOM, RegisterType, Value, canonical_type
-from ..errors import SolverError, SpillRequiredError
+from ..errors import CyclicGraphError, SolverError, SpillRequiredError
 from ..ilp import IntegerProgram, LinExpr, Solution, SolveStatus, solve
 from ..ilp.registry import backend_request_token
 from ..saturation.exact_ilp import RSModelInfo, build_interference_core
@@ -208,9 +208,8 @@ def serialize_from_schedule(
                     continue
                 analysis.push(edges)
                 added.extend(edges)
-    assert extended.is_acyclic(), (
-        f"serializing {ddg.name!r} must keep the DDG acyclic"
-    )
+    if not extended.is_acyclic():
+        raise CyclicGraphError(f"serializing {ddg.name!r} must keep the DDG acyclic")
     return extended, added, skipped
 
 

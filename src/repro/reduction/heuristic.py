@@ -53,7 +53,7 @@ from ..analysis.store import active_store
 from ..core.graph import DDG, Edge
 from ..core.machine import ProcessorModel
 from ..core.types import RegisterType, Value, canonical_type
-from ..errors import SpillRequiredError
+from ..errors import CyclicGraphError, SpillRequiredError
 from ..saturation.greedy import greedy_saturation
 from ..saturation.result import SaturationResult
 from .result import ReductionResult
@@ -123,9 +123,10 @@ class _FromScratchDriver:
 
     def apply(self, edges: List[Edge]) -> List[Edge]:
         self.current = apply_serialization(self.current, edges)
-        assert self.current.is_acyclic(), (
-            f"serializing {self.current.name!r} must keep the DDG acyclic"
-        )
+        if not self.current.is_acyclic():
+            raise CyclicGraphError(
+                f"serializing {self.current.name!r} must keep the DDG acyclic"
+            )
         return edges
 
     def saturation(self) -> SaturationResult:

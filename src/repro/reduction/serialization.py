@@ -32,7 +32,7 @@ from ..analysis.graphalgo import would_remain_acyclic as graphalgo_would_remain_
 from ..core.graph import DDG, Edge
 from ..core.machine import ArchitectureFamily, ProcessorModel
 from ..core.types import BOTTOM, DependenceKind, RegisterType, Value, canonical_type
-from ..errors import ReductionError
+from ..errors import CyclicGraphError, ReductionError
 
 __all__ = [
     "SerializationMode",
@@ -193,7 +193,8 @@ def prune_redundant_serial_arcs(ddg: DDG) -> Tuple[DDG, List[Edge]]:
     simultaneously could relax the scheduling constraints.  Removing arcs
     never *creates* redundancy, so a single verified pass suffices.
 
-    Returns ``(pruned copy, removed arcs)``; the result is asserted acyclic.
+    Returns ``(pruned copy, removed arcs)``; a cyclic result raises
+    :class:`~repro.errors.CyclicGraphError`.
     """
 
     g = ddg.copy()
@@ -202,7 +203,8 @@ def prune_redundant_serial_arcs(ddg: DDG) -> Tuple[DDG, List[Edge]]:
         if is_redundant_edge(g, edge):
             g.remove_edge(edge)
             removed.append(edge)
-    assert g.is_acyclic(), f"pruning {ddg.name!r} must keep the graph a DAG"
+    if not g.is_acyclic():
+        raise CyclicGraphError(f"pruning {ddg.name!r} must keep the graph a DAG")
     return g, removed
 
 

@@ -6,7 +6,10 @@ This package implements the paper's central concept.  Public entry points:
   the exact intLP of Section 3;
 * :func:`greedy_saturation` -- the nearly-optimal heuristic evaluated in
   Section 5;
-* :func:`exact_saturation` -- the exact intLP (O(n^2) variables,
+* :func:`exact_saturation` -- the exact value: proven without a solve when
+  a Greedy-k witness schedule meets :func:`saturation_upper_bound`, by the
+  Section-3 intLP otherwise;
+* :func:`intlp_saturation` -- the exact intLP alone (O(n^2) variables,
   O(m + n^2) constraints);
 * the building blocks: potential killers, killing functions, killed graphs,
   disjoint-value DAGs, bounds, and the brute-force oracles used by the
@@ -19,13 +22,25 @@ from typing import Optional
 
 from ..core.graph import DDG
 from ..core.types import RegisterType, canonical_type
-from .bounds import SaturationBounds, saturation_bounds, trivially_within_budget
+from .bounds import (
+    SaturationBounds,
+    ordered_after,
+    saturation_bounds,
+    saturation_upper_bound,
+    trivially_within_budget,
+)
 from .dvk import DisjointValueDAG, disjoint_value_dag, saturating_antichain
 from .enumeration import (
     saturation_by_killing_enumeration,
     saturation_by_schedule_enumeration,
 )
-from .exact_ilp import RSModelInfo, build_rs_program, exact_saturation, never_simultaneously_alive
+from .exact_ilp import (
+    RSModelInfo,
+    build_rs_program,
+    exact_saturation,
+    intlp_saturation,
+    never_simultaneously_alive,
+)
 from .greedy import greedy_killing_function, greedy_saturation
 from .incremental import IncrementalAnalysis, IncrementalSaturation
 from .pkill import (
@@ -43,6 +58,8 @@ __all__ = [
     "SaturationResult",
     "SaturationBounds",
     "saturation_bounds",
+    "saturation_upper_bound",
+    "ordered_after",
     "trivially_within_budget",
     "DisjointValueDAG",
     "disjoint_value_dag",
@@ -59,6 +76,7 @@ __all__ = [
     "IncrementalAnalysis",
     "IncrementalSaturation",
     "exact_saturation",
+    "intlp_saturation",
     "build_rs_program",
     "RSModelInfo",
     "never_simultaneously_alive",
@@ -77,8 +95,10 @@ def compute_saturation(
     """Compute (or approximate) the register saturation of *rtype*.
 
     ``method`` is one of ``"greedy"`` (the Greedy-k heuristic, default),
-    ``"exact"`` (the Section-3 intLP), ``"schedule-enum"`` or
-    ``"killing-enum"`` (brute-force oracles for small graphs).
+    ``"exact"`` (:func:`exact_saturation`: the bounds when a Greedy-k
+    witness meets the upper bound, the Section-3 intLP otherwise),
+    ``"schedule-enum"`` or ``"killing-enum"`` (brute-force oracles for
+    small graphs).
     """
 
     rtype = canonical_type(rtype)

@@ -1,26 +1,45 @@
-"""Cheap lower and upper bounds on the register saturation.
+"""Lower and upper bounds on the register saturation.
 
-The paper opens Section 3 with the trivial observation that no schedule can
-ever need more than ``|V_{R,t}|`` registers of a type, so when that count is
-at most ``R_t`` no analysis is needed at all.  On the other side, the
-register need of any concrete schedule (ASAP, or a lifetime-stretching
-schedule) is a lower bound of the saturation.  These bounds bracket the
-exact value, give the test-suite its sandwich invariants, and let the
-experiment harness skip intLP solves that cannot change a conclusion.
+**Upper bound.**  Call a value ``u`` *ordered before* ``v`` (``u < v``) when
+every consumer of ``u`` reaches ``v``'s definition with enough latency that
+``v`` is written no earlier than ``u`` dies, in every schedule
+(:func:`ordered_after`; the intLP uses the same test to prune its pairs).
+Values alive at one instant are pairwise unordered, so when ``<`` is a
+strict partial order its width -- the size of a maximum antichain -- bounds
+the register saturation from above.  The order is transitively closed
+whenever every flow arc is at least ``delta_w(src) - delta_r(dst)`` long;
+when some shorter arc breaks transitivity the bound falls back to the
+paper's trivial ``|V_{R,t}|``.
+
+**Lower bound.**  The register need of any concrete schedule (ASAP, or a
+lifetime-stretching schedule) is a lower bound of the saturation.
+
+The bounds bracket the exact value and give the test-suite its sandwich
+invariants.  When a Greedy-k witness schedule needs as many registers as
+the upper bound, :func:`~repro.saturation.exact_ilp.exact_saturation`
+answers without solving the intLP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Mapping, Optional
 
+from ..analysis.antichain import maximum_antichain
 from ..analysis.context import AnalysisContext, context_for
+from ..analysis.graphalgo import NEG_INF
 from ..core.graph import DDG
 from ..core.lifetime import register_need
 from ..core.schedule import asap_schedule, list_schedule_priority, sequential_schedule
-from ..core.types import RegisterType, canonical_type
+from ..core.types import RegisterType, Value, canonical_type
 
-__all__ = ["SaturationBounds", "saturation_bounds", "trivially_within_budget"]
+__all__ = [
+    "SaturationBounds",
+    "ordered_after",
+    "saturation_bounds",
+    "saturation_upper_bound",
+    "trivially_within_budget",
+]
 
 
 @dataclass(frozen=True)
@@ -40,6 +59,62 @@ class SaturationBounds:
         return self.lower == self.upper
 
 
+def ordered_after(
+    ddg: DDG,
+    first: Value,
+    second: Value,
+    lp: Mapping[str, Mapping[str, float]],
+) -> bool:
+    """True when *second* is always defined after *first*'s killing date.
+
+    The longest-path test of the paper's Section 3: every consumer ``c`` of
+    *first* reaches the definition of *second* with
+    ``lp(c, second) >= delta_r(c) - delta_w(second)``, so in every schedule
+    ``second`` is written no earlier than ``c`` reads ``first``.  *lp* is
+    the longest-path matrix of *ddg*.
+    """
+
+    consumers = ddg.consumers(first.node, first.rtype)
+    if not consumers:
+        return False
+    target_write = ddg.operation(second.node).delta_w
+    for reader in consumers:
+        need = ddg.operation(reader).delta_r - target_write
+        dist = lp[reader][second.node]
+        if dist == NEG_INF or dist < need:
+            return False
+    return True
+
+
+def saturation_upper_bound(
+    ddg: DDG,
+    rtype: RegisterType | str,
+    ctx: Optional[AnalysisContext] = None,
+) -> int:
+    """The width of the must-die-before order on the values of *rtype*.
+
+    Sound for every DDG: when the order (computed on the bottom-normalised
+    graph) is not transitively closed the width is no bound, and
+    ``|V_{R,t}|`` is returned instead.
+    """
+
+    rtype = canonical_type(rtype)
+    ctx = ctx if ctx is not None else context_for(ddg)
+    bottom_ctx = ctx.bottom()
+    g = bottom_ctx.ddg
+    values = sorted(g.values(rtype))
+    if not values:
+        return 0
+    lp = bottom_ctx.longest_path_matrix()
+    later = {
+        u: {v for v in values if v != u and ordered_after(g, u, v, lp)}
+        for u in values
+    }
+    if any(not later[v] <= later[u] for u in values for v in later[u]):
+        return len(values)
+    return len(maximum_antichain(values, [(u, v) for u in values for v in later[u]]))
+
+
 def saturation_bounds(
     ddg: DDG,
     rtype: RegisterType | str,
@@ -51,8 +126,7 @@ def saturation_bounds(
     ctx = ctx if ctx is not None else context_for(ddg)
     bottom_ctx = ctx.bottom()
     g = bottom_ctx.ddg
-    values = g.values(rtype)
-    upper = len(values)
+    upper = saturation_upper_bound(ddg, rtype, ctx)
     if upper == 0:
         return SaturationBounds(rtype, 0, 0)
 

@@ -38,6 +38,12 @@ enabled by default:
   defined after the other's killing date, detected with longest paths) get
   their ``s`` variable fixed to zero, which removes the associated
   equivalence machinery.
+
+:func:`exact_saturation` puts a proof in front of the solve: when a witness
+schedule built from Greedy-k's killing function needs as many registers as
+the order-width upper bound of :mod:`repro.saturation.bounds`, that need is
+the register saturation and no intLP is built.  :func:`intlp_saturation`
+always solves.
 """
 
 from __future__ import annotations
@@ -46,12 +52,11 @@ import time
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from ..analysis.context import context_for
-from ..analysis.graphalgo import NEG_INF
 from ..analysis.store import active_store
-from ..core.graph import DDG
-from ..core.lifetime import register_need
+from ..core.graph import DDG, Edge
+from ..core.lifetime import max_simultaneously_alive, register_need, value_lifetimes
 from ..core.schedule import Schedule
-from ..core.types import RegisterType, Value, canonical_type
+from ..core.types import DependenceKind, RegisterType, Value, canonical_type
 from ..errors import SolverError
 from ..ilp import (
     IntegerProgram,
@@ -63,6 +68,9 @@ from ..ilp import (
     solve,
 )
 from ..ilp.registry import backend_request_token
+from .bounds import ordered_after, saturation_upper_bound
+from .greedy import greedy_saturation
+from .pkill import KillingFunction, killed_graph
 from .result import SaturationResult
 
 __all__ = [
@@ -70,6 +78,7 @@ __all__ = [
     "build_interference_core",
     "build_rs_program",
     "exact_saturation",
+    "intlp_saturation",
     "never_simultaneously_alive",
 ]
 
@@ -144,22 +153,12 @@ def never_simultaneously_alive(
         forall v' in Cons(v): lp(v', u) >= delta_r(v') - delta_w(u)
         or
         forall u' in Cons(u): lp(u', v) >= delta_r(u') - delta_w(v)
+
+    Each side is :func:`~repro.saturation.bounds.ordered_after`, the order
+    whose width is the register-saturation upper bound.
     """
 
-    def ordered_after(first: Value, second: Value) -> bool:
-        # True when `second` is always defined after `first`'s killing date.
-        consumers = ddg.consumers(first.node, first.rtype)
-        if not consumers:
-            return False
-        target_write = ddg.operation(second.node).delta_w
-        for reader in consumers:
-            need = ddg.operation(reader).delta_r - target_write
-            dist = lp[reader][second.node]
-            if dist == NEG_INF or dist < need:
-                return False
-        return True
-
-    return ordered_after(a, b) or ordered_after(b, a)
+    return ordered_after(ddg, a, b, lp) or ordered_after(ddg, b, a, lp)
 
 
 def build_interference_core(
@@ -318,14 +317,23 @@ def exact_saturation(
     time_limit: Optional[float] = None,
     prune: bool = True,
 ) -> SaturationResult:
-    """Compute the exact register saturation ``RS_t(G)`` by solving the Section-3 intLP.
+    """Compute the exact register saturation ``RS_t(G)``, solving only if needed.
 
-    ``backend`` names a registered solver backend or ``"auto"`` (the
-    registry's deterministic policy, overridable via ``REPRO_ILP_BACKEND``);
-    the chosen backend and its solve statistics are recorded in
-    ``details``.  When the ambient result store is active (see
+    First the bounds: a witness schedule that keeps Greedy-k's saturating
+    values alive together (Greedy-k's killed graph plus arcs forcing their
+    lifetimes to overlap, scheduled ASAP) is a lower bound of the
+    saturation, and :func:`~repro.saturation.bounds.saturation_upper_bound`
+    an upper one.  When the witness's measured register need equals the
+    upper bound, that need is returned with ``method="bounds"``,
+    ``optimal=True`` and the witness schedule -- a proof that Greedy-k is
+    optimal on this instance.  Otherwise, or when an explicit *horizon*
+    restricts the schedules, the Section-3 intLP is solved by
+    :func:`intlp_saturation` with the remaining parameters.
+
+    When the ambient result store is active (see
     :func:`repro.analysis.store.active_store`) a previously proven result
-    for the same graph content and parameters is returned without solving.
+    for the same graph content and parameters is returned without
+    recomputation.
 
     Raises :class:`~repro.errors.SolverError` when the solver cannot prove
     optimality within the time limit (the experiments treat those instances
@@ -338,54 +346,24 @@ def exact_saturation(
         return SaturationResult(rtype, 0, method="intlp", optimal=True,
                                 wall_time=time.perf_counter() - start)
 
-    def solve_exact() -> SaturationResult:
-        program, info = build_rs_program(
-            ddg,
-            rtype,
-            horizon=horizon,
-            prune_redundant_arcs=prune,
-            prune_noninterfering_pairs=prune,
-        )
-        solution = solve(
-            program, backend=backend, time_limit=time_limit, require_feasible=True
-        )
-        if solution.status is not SolveStatus.OPTIMAL:
-            raise SolverError(
-                f"register saturation intLP not solved to optimality "
-                f"(status={solution.status.value}, backend={solution.backend}) "
-                f"for {ddg.name!r}"
-            )
-        schedule = info.schedule_from(solution)
-        alive = info.alive_values_from(solution)
-        rs = int(round(solution.objective or 0))
-        # Sanity: the witness schedule must exhibit at least the claimed need.
-        witness_need = register_need(info.ddg, schedule, rtype)
-        return SaturationResult(
-            rtype=rtype,
-            rs=rs,
-            saturating_values=tuple(sorted(alive)),
-            method="intlp",
-            witness_schedule=schedule,
-            optimal=True,
-            wall_time=time.perf_counter() - start,
-            details={
-                "model": program.statistics(),
-                "solver": solution.solver,
-                "solver_time": solution.wall_time,
-                "backend": solution.backend,
-                "solve": solution.stats(),
-                "witness_register_need": witness_need,
-                "horizon": info.horizon,
-            },
+    def compute() -> SaturationResult:
+        if horizon is None:
+            proven = _saturation_by_bounds(ddg, rtype, start)
+            if proven is not None:
+                return proven
+        return intlp_saturation(
+            ddg, rtype, horizon=horizon, backend=backend,
+            time_limit=time_limit, prune=prune,
         )
 
     store = active_store()
     if store is None:
-        return solve_exact()
-    # A raising solve (no proof within the limit) stores nothing.
+        return compute()
+    # A raising solve (no proof within the limit) stores nothing.  The .v2
+    # query keeps results stored before the bounds path existed apart.
     return store.memo(
         context_for(ddg).graph_hash(),
-        "saturation.exact",
+        "saturation.exact.v2",
         {
             "rtype": rtype.name,
             "horizon": horizon,
@@ -393,5 +371,135 @@ def exact_saturation(
             "backend": backend_request_token(backend),
             "time_limit": time_limit,
         },
-        solve_exact,
+        compute,
+    )
+
+
+def _saturation_by_bounds(
+    ddg: DDG, rtype: RegisterType, start: float
+) -> Optional[SaturationResult]:
+    """RS proven by a Greedy-k witness meeting the upper bound, or None."""
+
+    ctx = context_for(ddg)
+    upper = saturation_upper_bound(ddg, rtype, ctx)
+    greedy = greedy_saturation(ddg, rtype, ctx=ctx)
+    # A schedule of the killed graph needs at most Greedy-k's RS*, so a
+    # witness can only meet the bound when RS* does.
+    if greedy.rs != upper or greedy.killing_function is None:
+        return None
+    g = ctx.bottom().ddg
+    schedule = _greedy_witness(g, rtype, greedy)
+    if schedule is None:
+        return None
+    need, alive = max_simultaneously_alive(value_lifetimes(g, schedule, rtype))
+    if need != upper:
+        return None
+    return SaturationResult(
+        rtype=rtype,
+        rs=need,
+        saturating_values=tuple(sorted(iv.value for iv in alive)),
+        method="bounds",
+        killing_function=greedy.killing_function,
+        witness_schedule=schedule,
+        optimal=True,
+        wall_time=time.perf_counter() - start,
+        details={"upper_bound": upper, "witness_register_need": need},
+    )
+
+
+def _greedy_witness(
+    g: DDG, rtype: RegisterType, greedy: SaturationResult
+) -> Optional[Schedule]:
+    """A schedule of the bottom-normalised *g* keeping Greedy-k's antichain alive.
+
+    The killed graph of Greedy-k's killing function ``k`` gets, for every
+    ordered pair ``(u, v)`` of the saturating antichain, an arc
+    ``def(u) -> k(v)`` of latency ``delta_w(u) - delta_r(k(v)) + 1``: ``v``
+    dies after ``u`` is born, so the antichain's lifetimes pairwise overlap
+    and share an instant.  Returns the ASAP schedule of that graph, or None
+    when it is cyclic.
+    """
+
+    kf = KillingFunction(rtype, greedy.killing_function)
+    witness = killed_graph(g, kf)
+    for u in greedy.saturating_values:
+        for v in greedy.saturating_values:
+            killer = kf[v]
+            # k(v) = def(u) needs no arc: with v and u unordered in DV_k,
+            # delta_r(k(v)) > delta_w(u) already.
+            if u == v or killer == u.node:
+                continue
+            latency = g.operation(u.node).delta_w - g.operation(killer).delta_r + 1
+            witness.add_edge(Edge(u.node, killer, latency, DependenceKind.SERIAL, None))
+    witness_ctx = context_for(witness)
+    if not witness_ctx.is_acyclic():
+        return None
+    return Schedule(witness_ctx.asap_times(), g.name)
+
+
+def intlp_saturation(
+    ddg: DDG,
+    rtype: RegisterType | str,
+    horizon: Optional[int] = None,
+    backend: str = "auto",
+    time_limit: Optional[float] = None,
+    prune: bool = True,
+) -> SaturationResult:
+    """Compute ``RS_t(G)`` by solving the Section-3 intLP, always.
+
+    ``backend`` names a registered solver backend or ``"auto"`` (the
+    registry's deterministic policy, overridable via ``REPRO_ILP_BACKEND``);
+    the chosen backend and its solve statistics are recorded in
+    ``details``.  The solver's witness schedule is recounted: a register
+    need other than the proven objective raises
+    :class:`~repro.errors.SolverError`, as does a solve that cannot prove
+    optimality within the time limit.
+    """
+
+    start = time.perf_counter()
+    rtype = canonical_type(rtype)
+    program, info = build_rs_program(
+        ddg,
+        rtype,
+        horizon=horizon,
+        prune_redundant_arcs=prune,
+        prune_noninterfering_pairs=prune,
+    )
+    solution = solve(
+        program, backend=backend, time_limit=time_limit, require_feasible=True
+    )
+    if solution.status is not SolveStatus.OPTIMAL:
+        raise SolverError(
+            f"register saturation intLP not solved to optimality "
+            f"(status={solution.status.value}, backend={solution.backend}) "
+            f"for {ddg.name!r}"
+        )
+    schedule = info.schedule_from(solution)
+    alive = info.alive_values_from(solution)
+    rs = int(round(solution.objective or 0))
+    # The witness schedule must exhibit exactly the proven need.
+    witness_need = register_need(info.ddg, schedule, rtype)
+    if witness_need != rs:
+        raise SolverError(
+            f"register saturation intLP for {ddg.name!r} claims {rs} registers "
+            f"but its witness schedule needs {witness_need} "
+            f"(backend={solution.backend})"
+        )
+    return SaturationResult(
+        rtype=rtype,
+        rs=rs,
+        saturating_values=tuple(sorted(alive)),
+        method="intlp",
+        witness_schedule=schedule,
+        optimal=True,
+        wall_time=time.perf_counter() - start,
+        details={
+            "model": program.statistics(),
+            "solver": solution.solver,
+            "solver_time": solution.wall_time,
+            "backend": solution.backend,
+            "solve": solution.stats(),
+            "witness_register_need": witness_need,
+            "horizon": info.horizon,
+        },
     )

@@ -258,7 +258,10 @@ def _choose_killing_set(
                     if best_cost is None or cost < best_cost:
                         best_cost = cost
                         best = list(subset)
-        assert best is not None  # every value has at least one potential killer
+        if best is None:  # every component value has a potential killer in it
+            raise RuntimeError(
+                f"no killing set covers the values {[str(v) for v in needed]}"
+            )
         return best
 
     uncovered = set(needed)

@@ -728,7 +728,8 @@ class _CandidateDVState:
     def _set_killer_structures(self, kf, killed: DDG) -> None:
         """(Re)derive killer assignment maps from *kf* (cheap, O(values))."""
 
-        assert self._interner is not None
+        if self._interner is None:
+            raise RuntimeError("killer structures derived before rebuild() interned the graph")
         op_id = self._interner.id
         killer_of: List[Optional[int]] = [None] * len(self._values)
         self._killer_values = {}
@@ -789,8 +790,9 @@ class _CandidateDVState:
         if self.cyclic or self.analysis is None:
             return False
         killed = self.analysis.ddg
-        assert self._interner is not None
         interner = self._interner
+        if interner is None:
+            raise RuntimeError("patch() of a state that rebuild() never interned")
         name_of = interner.name
         new_refs = self._killing_arc_refs(kf, pk, interner.id)
         old_refs = self._arc_refs
@@ -1148,7 +1150,8 @@ class IncrementalSaturation:
     def _update_after_push(self, records: List[_AppliedArc]) -> None:
         from .pkill import potential_killers  # local: avoids import cycle
 
-        assert self._pk is not None and self._kdv is not None
+        if self._pk is None or self._kdv is None:
+            raise RuntimeError("push bookkeeping before the potential killers were built")
         pk_old = self._pk
         changed_nodes: Set[str] = set()
         dirty: Set[Value] = set()
@@ -1290,7 +1293,8 @@ class IncrementalSaturation:
         """
 
         self._ensure_pk()
-        assert self._pk is not None
+        if self._pk is None:
+            raise RuntimeError("potential killers missing after _ensure_pk()")
         state = self._candidate_states.get(label)
         if state is None:
             state = _CandidateDVState(
@@ -1324,7 +1328,8 @@ class IncrementalSaturation:
         if result is _GENERIC_FALLBACK:  # pragma: no cover - exotic latencies
             from .dvk import saturating_antichain
 
-            assert state.analysis is not None
+            if state.analysis is None:
+                raise RuntimeError(f"candidate {label!r} has no killed graph to fall back on")
             antichain, _ = saturating_antichain(
                 self._mirror.ddg, kf, killed=state.analysis.ddg
             )

@@ -52,6 +52,14 @@ class TestRSOptimalityExperiment:
         assert "RS*" in report.to_table()
         assert any("maximal empirical error" in line for line in report.summary_lines())
 
+    def test_bounds_proofs_are_reported(self):
+        report = run_rs_optimality(suite=tiny_suite())
+        proven = [c for c in report.comparisons if c.backend == "bounds"]
+        assert 1 <= report.bounds_count == len(proven) <= report.instances
+        assert all(c.heuristic_is_optimal for c in proven)
+        line = f"proven optimal by bounds     : {len(proven)} of {report.instances}"
+        assert line in report.summary_lines()
+
 
 @pytest.mark.needs_ilp_solver
 class TestReductionOptimalityExperiment:

@@ -20,7 +20,7 @@ from repro.ilp import (
     solve_with_scipy,
 )
 from repro.ilp.registry import BACKEND_ENV, backend_request_token
-from repro.saturation import exact_saturation, greedy_saturation
+from repro.saturation import greedy_saturation, intlp_saturation
 
 
 def build_knapsack(n: int = 26, seed: int = 3) -> IntegerProgram:
@@ -176,8 +176,8 @@ class TestBackendParity:
         checked = 0
         for entry in suite:
             for rtype in entry.ddg.register_types():
-                via_scipy = exact_saturation(entry.ddg, rtype, backend="scipy")
-                via_bb = exact_saturation(
+                via_scipy = intlp_saturation(entry.ddg, rtype, backend="scipy")
+                via_bb = intlp_saturation(
                     entry.ddg, rtype, backend="branch-bound", time_limit=120.0
                 )
                 assert via_scipy.rs == via_bb.rs, (

@@ -1,0 +1,184 @@
+"""Oracle tests for the order-width upper bound and bounds-first exact RS.
+
+On small random DAGs and their reductions the chain
+
+    Greedy-k  <=  intLP  =  killing enumeration  <=  saturation_upper_bound
+
+must hold, the must-die-before order must be transitively closed, and every
+``exact_saturation`` answer proven by bounds must equal the intLP and come
+with a witness schedule whose register need, recounted here from the raw
+arcs and offsets, is that answer.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from collections import defaultdict
+
+import pytest
+
+from repro.analysis.antichain import maximum_antichain
+from repro.analysis.context import context_for
+from repro.codes.generator import layered_random_ddg
+from repro.core import DDGBuilder
+from repro.core.types import BOTTOM, INT
+from repro.errors import SolverError
+from repro.reduction import reduce_saturation_heuristic
+from repro.saturation import (
+    exact_saturation,
+    exact_ilp,
+    greedy_saturation,
+    intlp_saturation,
+    ordered_after,
+    saturation_by_killing_enumeration,
+    saturation_by_schedule_enumeration,
+    saturation_upper_bound,
+)
+
+SEEDS = range(60)
+REGISTERS = 3
+
+
+def _instances(seed):
+    """A random DAG and its successful reductions to R=3, per register type."""
+
+    ddg = layered_random_ddg(nodes=11, layers=4, max_latency=3, seed=seed)
+    out = []
+    for rtype in ddg.register_types():
+        out.append((ddg, rtype))
+        reduced = reduce_saturation_heuristic(ddg, rtype, REGISTERS)
+        if reduced.success:
+            out.append((reduced.extended_ddg, rtype))
+    return out
+
+
+def _must_die_before(ddg, rtype):
+    """``u -> {v : u < v}`` on the bottom-normalised graph."""
+
+    bottom = context_for(ddg).bottom()
+    lp = bottom.longest_path_matrix()
+    values = sorted(bottom.ddg.values(rtype))
+    return {
+        u: {v for v in values if v != u and ordered_after(bottom.ddg, u, v, lp)}
+        for u in values
+    }
+
+
+def _transitively_closed(later):
+    return all(later[v] <= later[u] for u in later for v in later[u])
+
+
+def _recounted_need(graph, times, rtype):
+    """Register need of *times* on *graph*, from its arcs and offsets alone."""
+
+    ops = {op.name: op for op in graph.operations()}
+    readers = defaultdict(list)
+    for e in graph.edges():
+        assert times[e.dst] - times[e.src] >= e.latency, f"{e.src}->{e.dst} violated"
+        if e.is_flow and e.rtype == rtype:
+            readers[e.src].append(e.dst)
+    spans = []
+    for name, op in ops.items():
+        if name == BOTTOM or rtype not in op.defs:
+            continue
+        birth = times[name] + op.delta_w
+        death = max((times[r] + ops[r].delta_r for r in readers[name]), default=birth)
+        if death > birth:
+            spans.append((birth, death))
+    return max((sum(1 for b, d in spans if b < t <= d) for _, t in spans), default=0)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_upper_bound_above_killing_enumeration(seed):
+    for ddg, rtype in _instances(seed):
+        assert _transitively_closed(_must_die_before(ddg, rtype))
+        greedy = greedy_saturation(ddg.copy(), rtype).rs
+        oracle = saturation_by_killing_enumeration(ddg.copy(), rtype)
+        upper = saturation_upper_bound(ddg.copy(), rtype)
+        assert oracle.optimal
+        assert greedy <= oracle.rs <= upper <= len(ddg.values(rtype))
+
+
+@pytest.mark.needs_ilp_solver
+@pytest.mark.parametrize("seed", SEEDS)
+def test_exact_equals_intlp_and_oracles(seed):
+    for ddg, rtype in _instances(seed):
+        exact = exact_saturation(ddg.copy(), rtype)
+        assert exact.optimal
+        if exact.method == "intlp":
+            intlp = exact.rs
+        else:
+            assert exact.method == "bounds"
+            intlp = intlp_saturation(ddg.copy(), rtype).rs
+            graph = ddg.with_bottom()
+            assert _recounted_need(graph, exact.witness_schedule.times, rtype) == exact.rs
+            assert len(exact.saturating_values) == exact.rs
+        greedy = greedy_saturation(ddg.copy(), rtype).rs
+        oracle = saturation_by_killing_enumeration(ddg.copy(), rtype).rs
+        upper = saturation_upper_bound(ddg.copy(), rtype)
+        assert greedy <= intlp == oracle <= upper
+        assert exact.rs == intlp
+
+
+def test_figure2_proven_by_bounds(figure2):
+    result = exact_saturation(figure2, INT)
+    assert (result.method, result.rs, result.optimal) == ("bounds", 4, True)
+    assert result.details["upper_bound"] == 4
+    assert _recounted_need(figure2.with_bottom(), result.witness_schedule.times, INT) == 4
+
+
+def short_flow_arc_ddg():
+    """``v`` is written 5 cycles into its operation, ``cv`` may read it after 1.
+
+    The flow arc ``v -> cv`` is shorter than ``delta_w(v) - delta_r(cv)``,
+    so ``v``'s lifetime can be empty: ``u < v`` and ``v < w`` hold, but
+    ``u`` and ``w`` can be alive together (``cu`` reads ``u`` 4 cycles late).
+    """
+
+    return (
+        DDGBuilder("short-flow-arc")
+        .default_type("int")
+        .value("u")
+        .op("cu", delta_r=4)
+        .value("v", delta_w=5)
+        .op("cv")
+        .value("w")
+        .op("cw")
+        .flow("u", "cu")
+        .serial("cu", "v", 1)
+        .flow("v", "cv", latency=1)
+        .serial("cv", "w", 1)
+        .flow("w", "cw")
+        .build()
+    )
+
+
+def test_intransitive_order_falls_back_to_value_count():
+    ddg = short_flow_arc_ddg()
+    later = _must_die_before(ddg, INT)
+    u, v, w = sorted(later)
+    assert later == {u: {v}, v: {w}, w: set()}
+    assert not _transitively_closed(later)
+    # The width of the closure (one chain u < v < w) would be unsound.
+    assert len(maximum_antichain([u, v, w], [(u, v), (v, w), (u, w)])) == 1
+    assert saturation_by_schedule_enumeration(ddg, INT).rs == 2
+    assert saturation_upper_bound(ddg, INT) == len(ddg.values(INT)) == 3
+
+
+@pytest.mark.needs_ilp_solver
+def test_intransitive_order_is_solved():
+    result = exact_saturation(short_flow_arc_ddg(), INT)
+    assert (result.method, result.rs) == ("intlp", 2)
+
+
+@pytest.mark.needs_ilp_solver
+def test_intlp_witness_mismatch_raises(monkeypatch, figure2):
+    real_solve = exact_ilp.solve
+
+    def off_by_one(*args, **kwargs):
+        solution = real_solve(*args, **kwargs)
+        return dataclasses.replace(solution, objective=solution.objective + 1)
+
+    monkeypatch.setattr(exact_ilp, "solve", off_by_one)
+    with pytest.raises(SolverError, match="witness schedule needs 4"):
+        intlp_saturation(figure2, INT)

@@ -11,6 +11,7 @@ from repro.saturation import (
     compute_saturation,
     exact_saturation,
     greedy_saturation,
+    intlp_saturation,
     saturation_bounds,
     saturation_by_killing_enumeration,
     saturation_by_schedule_enumeration,
@@ -69,7 +70,7 @@ class TestSandwichInvariants:
     def test_witness_schedule_realises_exact_value(self, figure2):
         from repro.core.lifetime import register_need
 
-        result = exact_saturation(figure2, INT)
+        result = intlp_saturation(figure2, INT)
         assert result.witness_schedule is not None
         need = register_need(result.witness_schedule and _bottom(figure2), result.witness_schedule, INT)
         assert need == result.rs
@@ -140,13 +141,13 @@ class TestModelSize:
     @pytest.mark.needs_ilp_solver
     def test_pruning_preserves_optimum(self):
         for name, ddg, expected in SMALL_SHAPES:
-            assert exact_saturation(ddg, INT, prune=False).rs == expected
+            assert intlp_saturation(ddg, INT, prune=False).rs == expected
 
 
 @pytest.mark.needs_ilp_solver
 class TestVLIWOffsets:
     def test_saturation_with_offsets_still_bounded(self):
         ddg = retarget(fork_join_ddg(4, latency=3), vliw())
-        exact = exact_saturation(ddg, INT)
+        exact = intlp_saturation(ddg, INT)
         greedy = greedy_saturation(ddg, INT)
         assert 1 <= greedy.rs <= exact.rs <= 5
