@@ -106,7 +106,7 @@ class ReductionOptimalityReport:
     comparisons: List[ReductionComparison] = field(default_factory=list)
     spill_instances: int = 0
     #: Summed warm-engine counters (dv_patches, pair_verdicts_reused,
-    #: schedule_repairs, ...) of every heuristic budget ladder, so the
+    #: components_reused, ...) of every heuristic budget ladder, so the
     #: long-running sweeps report how much of their work the incremental
     #: candidate engine answered warm.  Deterministic (counter sums only,
     #: no timings), so stored cold/warm reports stay byte-identical.

@@ -11,8 +11,10 @@ whenever every flow arc is at least ``delta_w(src) - delta_r(dst)`` long;
 when some shorter arc breaks transitivity the bound falls back to the
 paper's trivial ``|V_{R,t}|``.
 
-**Lower bound.**  The register need of any concrete schedule (ASAP, or a
-lifetime-stretching schedule) is a lower bound of the saturation.
+**Lower bound.**  The register need of any concrete schedule (ASAP, or the
+fully sequential one) is a lower bound of the saturation.  A
+lifetime-stretching list schedule adds nothing: under unlimited resources
+every list-scheduling priority yields the ASAP schedule.
 
 The bounds bracket the exact value and give the test-suite its sandwich
 invariants.  When a Greedy-k witness schedule needs as many registers as
@@ -30,7 +32,7 @@ from ..analysis.context import AnalysisContext, context_for
 from ..analysis.graphalgo import NEG_INF
 from ..core.graph import DDG
 from ..core.lifetime import register_need
-from ..core.schedule import asap_schedule, list_schedule_priority, sequential_schedule
+from ..core.schedule import asap_schedule, sequential_schedule
 from ..core.types import RegisterType, Value, canonical_type
 
 __all__ = [
@@ -130,24 +132,10 @@ def saturation_bounds(
     if upper == 0:
         return SaturationBounds(rtype, 0, 0)
 
-    lower = register_need(g, asap_schedule(g), rtype)
-
-    # A schedule that issues value producers eagerly and value consumers
-    # lazily stretches lifetimes and usually produces a better lower bound.
-    asap = bottom_ctx.asap_times()
-    horizon = bottom_ctx.critical_path_length() + 1
-
-    def stretch_priority(node: str) -> float:
-        op = g.operation(node)
-        produces = 1.0 if op.defines(rtype) else 0.0
-        consumes = 1.0 if any(
-            e.is_flow and e.rtype == rtype for e in g.in_edges(node)
-        ) else 0.0
-        return produces * horizon - consumes * horizon - asap[node]
-
-    stretched = list_schedule_priority(g, stretch_priority)
-    lower = max(lower, register_need(g, stretched, rtype))
-    lower = max(lower, register_need(g, sequential_schedule(g), rtype))
+    lower = max(
+        register_need(g, asap_schedule(g), rtype),
+        register_need(g, sequential_schedule(g), rtype),
+    )
     return SaturationBounds(rtype, lower, upper)
 
 

@@ -85,6 +85,12 @@ def saturation_by_killing_enumeration(
     Every valid killing function is evaluated through its disjoint-value DAG;
     the maximum antichain size over all of them is the register saturation
     (the characterisation underlying the Greedy-k heuristic).
+
+    The characterisation needs every flow arc of *rtype* to be at least
+    ``delta_w(src) - delta_r(dst)`` long.  A shorter arc lets a lifetime end
+    before it starts, and the disjoint-value closure then orders values
+    that can be alive together; on such graphs the result is only a lower
+    bound, ``optimal`` is False and ``details["short_flow_arc"]`` is True.
     """
 
     start = time.perf_counter()
@@ -105,13 +111,23 @@ def saturation_by_killing_enumeration(
             best_kf = kf
     if limit is not None and count >= limit:
         truncated = True
+    short_flow_arc = any(
+        e.is_flow
+        and e.rtype == rtype
+        and e.latency < g.operation(e.src).delta_w - g.operation(e.dst).delta_r
+        for e in g.edges()
+    )
     return SaturationResult(
         rtype=rtype,
         rs=best,
         saturating_values=best_values,
         method="killing-enum",
         killing_function=dict(best_kf.items()) if best_kf is not None else None,
-        optimal=not truncated,
+        optimal=not truncated and not short_flow_arc,
         wall_time=time.perf_counter() - start,
-        details={"killing_functions_enumerated": count, "truncated": truncated},
+        details={
+            "killing_functions_enumerated": count,
+            "truncated": truncated,
+            "short_flow_arc": short_flow_arc,
+        },
     )

@@ -56,7 +56,7 @@ from ..analysis.store import active_store
 from ..core.graph import DDG, Edge
 from ..core.lifetime import max_simultaneously_alive, register_need, value_lifetimes
 from ..core.schedule import Schedule
-from ..core.types import DependenceKind, RegisterType, Value, canonical_type
+from ..core.types import BOTTOM, DependenceKind, RegisterType, Value, canonical_type
 from ..errors import SolverError
 from ..ilp import (
     IntegerProgram,
@@ -326,9 +326,11 @@ def exact_saturation(
     an upper one.  When the witness's measured register need equals the
     upper bound, that need is returned with ``method="bounds"``,
     ``optimal=True`` and the witness schedule -- a proof that Greedy-k is
-    optimal on this instance.  Otherwise, or when an explicit *horizon*
-    restricts the schedules, the Section-3 intLP is solved by
-    :func:`intlp_saturation` with the remaining parameters.
+    optimal on this instance.  With an explicit *horizon* the witness must
+    also issue ``⊥`` by that cycle: the saturation within the horizon lies
+    between the witness's need and the upper bound.  Otherwise the
+    Section-3 intLP is solved by :func:`intlp_saturation` with the
+    remaining parameters.
 
     When the ambient result store is active (see
     :func:`repro.analysis.store.active_store`) a previously proven result
@@ -347,10 +349,9 @@ def exact_saturation(
                                 wall_time=time.perf_counter() - start)
 
     def compute() -> SaturationResult:
-        if horizon is None:
-            proven = _saturation_by_bounds(ddg, rtype, start)
-            if proven is not None:
-                return proven
+        proven = _saturation_by_bounds(ddg, rtype, start, horizon)
+        if proven is not None:
+            return proven
         return intlp_saturation(
             ddg, rtype, horizon=horizon, backend=backend,
             time_limit=time_limit, prune=prune,
@@ -376,9 +377,12 @@ def exact_saturation(
 
 
 def _saturation_by_bounds(
-    ddg: DDG, rtype: RegisterType, start: float
+    ddg: DDG, rtype: RegisterType, start: float, horizon: Optional[int]
 ) -> Optional[SaturationResult]:
-    """RS proven by a Greedy-k witness meeting the upper bound, or None."""
+    """RS proven by a Greedy-k witness meeting the upper bound, or None.
+
+    A *horizon* also requires the witness to issue ``⊥`` no later than it.
+    """
 
     ctx = context_for(ddg)
     upper = saturation_upper_bound(ddg, rtype, ctx)
@@ -389,7 +393,7 @@ def _saturation_by_bounds(
         return None
     g = ctx.bottom().ddg
     schedule = _greedy_witness(g, rtype, greedy)
-    if schedule is None:
+    if schedule is None or (horizon is not None and schedule[BOTTOM] > horizon):
         return None
     need, alive = max_simultaneously_alive(value_lifetimes(g, schedule, rtype))
     if need != upper:

@@ -20,10 +20,11 @@ one register -- works on killing functions:
 
 Small components are solved exactly (exhaustive subset search); large ones
 greedily with a cover-ratio rule.  The implementation additionally evaluates
-a few schedule-induced killing functions (always valid) and keeps the best
-antichain, which can only tighten the approximation: every candidate is a
-valid killing function, so every reported value is a true lower bound of the
-register saturation -- the paper's case ``RS < RS*`` is impossible.
+the canonical (deepest potential killer) and the ASAP-induced killing
+functions and keeps the best antichain, which can only tighten the
+approximation: every candidate is checked for validity, so every reported
+value is a true lower bound of the register saturation -- the paper's case
+``RS < RS*`` is impossible.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from typing import Dict, FrozenSet, List, Mapping, MutableMapping, Optional, Seq
 from ..analysis.context import AnalysisContext, context_for
 from ..core.graph import DDG
 from ..core.lifetime import register_need
-from ..core.schedule import Schedule, asap_schedule, list_schedule_priority
-from ..core.types import BOTTOM, RegisterType, Value, canonical_type
+from ..core.schedule import asap_schedule
+from ..core.types import RegisterType, Value, canonical_type
 from .dvk import saturating_antichain
 from .pkill import (
     KillingFunction,
@@ -427,49 +428,6 @@ def greedy_killing_function(
 # --------------------------------------------------------------------------- #
 # Candidate killing functions and the public entry point
 # --------------------------------------------------------------------------- #
-def _keep_alive_schedule(
-    ddg: DDG, rtype: RegisterType, ctx: Optional[AnalysisContext] = None
-) -> Schedule:
-    """A schedule biased towards keeping many values of *rtype* alive.
-
-    Producers of values are issued as early as possible (high priority) and
-    their consumers as late as possible (low priority), which tends to
-    stretch lifetimes and exhibit large register needs -- a cheap witness
-    generator for the heuristic.
-
-    The result is memoized on the graph's context under
-    ``("keep_alive_schedule", rtype)``, which is the hook the incremental
-    reduction engine uses to inject its repaired warm schedule (see
-    :class:`~repro.scheduling.list_scheduler.IncrementalListSchedule`)
-    instead of paying this from-scratch list scheduling every iteration.
-    """
-
-    ctx = ctx if ctx is not None else context_for(ddg)
-    return ctx.memo(
-        ("keep_alive_schedule", rtype),
-        lambda: _keep_alive_schedule_uncached(ddg, rtype, ctx),
-    )
-
-
-def _keep_alive_schedule_uncached(
-    ddg: DDG, rtype: RegisterType, ctx: AnalysisContext
-) -> Schedule:
-    """The from-scratch keep-alive list scheduling (the reference path)."""
-
-    asap = ctx.asap_times()
-    horizon = ctx.critical_path_length() + 1
-
-    def priority(node: str) -> float:
-        op = ddg.operation(node)
-        producing = 1.0 if op.defines(rtype) else 0.0
-        consuming = 1.0 if any(
-            e.is_flow and e.rtype == rtype for e in ddg.in_edges(node)
-        ) else 0.0
-        return producing * horizon - consuming * horizon - asap[node]
-
-    return list_schedule_priority(ddg, priority)
-
-
 def greedy_saturation(
     ddg: DDG,
     rtype: RegisterType | str,
@@ -490,9 +448,11 @@ def greedy_saturation(
     rtype:
         Register type to analyse.
     extra_candidates:
-        Also evaluate schedule-induced killing functions (ASAP and a
-        keep-alive biased schedule) and keep the best antichain.  This is a
-        cheap polish that never invalidates the lower-bound property.
+        Also evaluate the canonical killing function (deepest potential
+        killer) and the one induced by the ASAP schedule, and keep the best
+        antichain.  A candidate repeating an earlier one's killing function
+        is not evaluated again.  This is a cheap polish that never
+        invalidates the lower-bound property.
     ctx:
         Optional shared :class:`~repro.analysis.context.AnalysisContext` of
         *ddg*.  The final result is memoized on it, so the pipeline stages
@@ -585,14 +545,6 @@ def _greedy_saturation_uncached(
         candidates.append(
             ("asap-induced", killing_function_from_schedule(g, asap_schedule(g), rtype))
         )
-        candidates.append(
-            (
-                "keep-alive-induced",
-                killing_function_from_schedule(
-                    g, _keep_alive_schedule(g, rtype, ctx=bottom_ctx), rtype
-                ),
-            )
-        )
 
     best_rs = -1
     best_antichain: List[Value] = []
@@ -600,7 +552,13 @@ def _greedy_saturation_uncached(
     best_label = "greedy-k"
     fallback_used = False
     pk_map = potential_killers_map(g, rtype, bottom_ctx)
+    evaluated: List[Mapping[Value, str]] = []
     for label, kf in candidates:
+        # A repeated killing function has the earlier candidate's validity
+        # and antichain, and only a strictly larger antichain wins.
+        if kf.mapping in evaluated:
+            continue
+        evaluated.append(kf.mapping)
         antichain: Optional[List[Value]]
         if candidate_evaluator is not None:
             antichain = candidate_evaluator(label, kf)
@@ -622,8 +580,10 @@ def _greedy_saturation_uncached(
             best_label = label
 
     if best_kf is None:
-        # Should not happen (schedule-induced functions are always valid) but
-        # stay safe: fall back to the register need of the ASAP schedule.
+        # Every candidate's killed graph was cyclic (a schedule-induced
+        # function can close a zero-latency cycle between ops issued in
+        # the same cycle): fall back to the register need of the ASAP
+        # schedule.
         schedule = asap_schedule(g)
         rn = register_need(g, schedule, rtype)
         return SaturationResult(

@@ -60,7 +60,6 @@ from ..analysis.context import context_for
 from ..analysis.interner import OpInterner
 from ..core.graph import DDG, Edge
 from ..core.types import DependenceKind, RegisterType, Value, canonical_type
-from ..scheduling.list_scheduler import IncrementalListSchedule
 from .result import SaturationResult
 
 __all__ = ["IncrementalAnalysis", "IncrementalSaturation"]
@@ -1042,16 +1041,12 @@ class IncrementalSaturation:
     per-component fast path, see ``signature_cache``), one warm
     :class:`_CandidateDVState` per Greedy-k candidate label (synced lazily
     on evaluation, re-targeted by :meth:`_CandidateDVState.patch` when its
-    killing function drifts, rebuilt only from cold or cyclic states), and
-    the keep-alive candidate's warm list schedule
-    (:class:`~repro.scheduling.list_scheduler.IncrementalListSchedule`,
-    repaired downstream-only per push and injected into the mirror context
-    under the ``("keep_alive_schedule", rtype)`` memo the from-scratch
-    scheduler also uses).  After every push only the dirty region --
-    values/killers reachable from the new arcs' endpoints -- is recomputed;
-    the rest is shared with the previous iteration.  ``stats`` counts the
-    warm-path hits and ``timings`` accumulates monotonic per-stage wall
-    clock, both surfaced in ``ReductionResult.details["engine_stats"]``.
+    killing function drifts, rebuilt only from cold or cyclic states).
+    After every push only the dirty region -- values/killers reachable from
+    the new arcs' endpoints -- is recomputed; the rest is shared with the
+    previous iteration.  ``stats`` counts the warm-path hits and
+    ``timings`` accumulates monotonic per-stage wall clock, both surfaced in
+    ``ReductionResult.details["engine_stats"]``.
     """
 
     def __init__(self, analysis: IncrementalAnalysis, rtype: RegisterType | str) -> None:
@@ -1091,14 +1086,12 @@ class IncrementalSaturation:
             i: mirror.operation(v.node).delta_w for i, v in enumerate(self._values)
         }
         self._candidate_states: Dict[str, _CandidateDVState] = {}
-        self._keep_alive: Optional[IncrementalListSchedule] = None
         self.stats: Dict[str, int] = {
             "dv_rebuilds": 0,
             "dv_reuses": 0,
             "dv_patches": 0,
             "dv_engine_reseeds": 0,
             "dv_syncs_skipped": 0,
-            "schedule_repairs": 0,
             "components_reused": 0,
         }
         #: Monotonic per-stage wall-clock accumulators (seconds), keyed by
@@ -1111,8 +1104,6 @@ class IncrementalSaturation:
             "dv_antichain": 0.0,
             "candidate_sync": 0.0,
             "analysis_push": 0.0,
-            "keep_alive_build": 0.0,
-            "keep_alive_repair": 0.0,
             "greedy_decompose": 0.0,
         }
 
@@ -1215,14 +1206,6 @@ class IncrementalSaturation:
         # see _CandidateDVState.defer_sync.
         for state in self._candidate_states.values():
             state.defer_sync(edges)
-        if self._keep_alive is not None:
-            self._keep_alive.push()
-            dirty = {record.edge.dst for record in frame.records}
-            if dirty:
-                t0 = time.perf_counter()
-                self._keep_alive.reschedule(dirty, ctx=context_for(self._mirror.ddg))
-                self.stats["schedule_repairs"] += 1
-                self.timings["keep_alive_repair"] += time.perf_counter() - t0
         self._inject()
 
     def pop(self) -> None:
@@ -1246,10 +1229,6 @@ class IncrementalSaturation:
         ]
         for label in dead:
             del self._candidate_states[label]
-        # The keep-alive schedule follows the same protocol: a state built
-        # mid-stack has the popped arcs baked into its baseline.
-        if self._keep_alive is not None and not self._keep_alive.pop():
-            self._keep_alive = None
         self._inject()
 
     def _inject(self) -> None:
@@ -1258,30 +1237,9 @@ class IncrementalSaturation:
             pk, kdv = self._pk, self._kdv
             mctx.memo(("pkill", self.rtype), lambda: pk)
             mctx.memo(("killer_desc_values", self.rtype), lambda: kdv)
-        if self._keep_alive is not None:
-            schedule = self._keep_alive.schedule()
-            mctx.memo(("keep_alive_schedule", self.rtype), lambda: schedule)
         if self._mirror is not self._working:
             wctx = context_for(self._working.ddg)
             wctx.memo("bottom", lambda: mctx)
-
-    def _ensure_keep_alive(self) -> None:
-        """Build the warm keep-alive schedule state on first use.
-
-        The from-scratch reference (`greedy._keep_alive_schedule_uncached`)
-        list-schedules the bottom mirror with a lifetime-stretching
-        priority; under unlimited resources that schedule is the unique
-        earliest fixpoint regardless of the priority (see
-        :class:`~repro.scheduling.list_scheduler.IncrementalListSchedule`),
-        which is what makes the repaired schedule byte-identical.
-        """
-
-        if self._keep_alive is None:
-            t0 = time.perf_counter()
-            self._keep_alive = IncrementalListSchedule(
-                self._mirror.ddg, ctx=context_for(self._mirror.ddg)
-            )
-            self.timings["keep_alive_build"] += time.perf_counter() - t0
 
     def candidate_antichain(self, label: str, kf) -> Optional[List[Value]]:
         """Warm evaluation of one Greedy-k candidate killing function.
@@ -1341,7 +1299,6 @@ class IncrementalSaturation:
 
         from .greedy import greedy_saturation  # local: avoids import cycle
 
-        self._ensure_keep_alive()
         self._inject()
         cache = self.component_cache
         result = greedy_saturation(

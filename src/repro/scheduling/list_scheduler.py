@@ -15,8 +15,7 @@ to worry about registers.  This module provides that scheduler:
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Optional
 
 from ..analysis.context import AnalysisContext, context_for
 from ..core.graph import DDG
@@ -30,7 +29,6 @@ from .resources import ReservationTable
 __all__ = [
     "list_schedule",
     "register_pressure_aware_schedule",
-    "IncrementalListSchedule",
 ]
 
 
@@ -85,126 +83,6 @@ def list_schedule(
         times[node] = cycle
         pending.discard(node)
     return Schedule(times, ddg.name).check(ddg)
-
-
-class IncrementalListSchedule:
-    """An unlimited-resource list schedule kept warm across serial-arc pushes.
-
-    :func:`repro.core.schedule.list_schedule_priority` issues every ready
-    operation at its earliest feasible cycle under *no* resource
-    constraints.  In that regime the issue times are **priority
-    independent**: each operation's cycle is exactly
-    ``max(0, max over incoming arcs of (time(src) + latency))`` (all
-    predecessors are final when the operation is popped, whatever the pop
-    order), so any priority function produces the same unique earliest
-    fixpoint and only permutes the issue *order*.  That makes the schedule
-    repairable: pushing serial arcs into a target can only raise times at
-    the target and downstream of it, so :meth:`reschedule` recomputes
-    exactly that region (priorities of those operations are the only ones
-    that could move, and they are inert) instead of replaying the full
-    O(V^2 log V) sort-per-step loop the from-scratch scheduler pays.
-
-    The Greedy-k keep-alive candidate is the consumer: its biased schedule
-    is rebuilt from scratch every reduction iteration otherwise, and the
-    produced :class:`~repro.core.schedule.Schedule` here is equal (same
-    ``times`` mapping, same graph name) to the from-scratch one --
-    ``tests/test_incremental_candidates.py`` pins that across push/pop.
-
-    :meth:`push`/:meth:`pop` bracket a group of insertions with an undo log
-    of pre-repair issue times, mirroring the owning saturation state's
-    undo protocol; :meth:`pop` returns False when no frame remains (the
-    state was built mid-stack and the caller must discard it).
-    """
-
-    __slots__ = ("_g", "_times", "_frames", "_schedule", "repairs", "repaired_ops")
-
-    def __init__(self, ddg: DDG, ctx: Optional[AnalysisContext] = None) -> None:
-        self._g = ddg
-        ctx = ctx if ctx is not None else context_for(ddg)
-        times: Dict[str, int] = {}
-        for node in ctx.topological_order():
-            t = 0
-            for e in ddg.in_edges(node):
-                c = times[e.src] + e.latency
-                if c > t:
-                    t = c
-            times[node] = t
-        self._times = times
-        self._frames: List[Dict[str, int]] = []
-        self._schedule: Optional[Schedule] = None
-        self.repairs = 0
-        self.repaired_ops = 0
-
-    @property
-    def depth(self) -> int:
-        return len(self._frames)
-
-    def schedule(self) -> Schedule:
-        """The current warm schedule (cached until the next repair or pop)."""
-
-        if self._schedule is None:
-            self._schedule = Schedule(dict(self._times), self._g.name)
-        return self._schedule
-
-    def push(self) -> None:
-        """Open an undo frame covering the subsequent :meth:`reschedule`."""
-
-        self._frames.append({})
-
-    def pop(self) -> bool:
-        """Undo the most recent :meth:`push`; False when none remain."""
-
-        if not self._frames:
-            return False
-        log = self._frames.pop()
-        if log:
-            self._times.update(log)
-            self._schedule = None
-        return True
-
-    def reschedule(
-        self, dirty_ops: Iterable[str], ctx: Optional[AnalysisContext] = None
-    ) -> int:
-        """Repair issue slots downstream of *dirty_ops*; returns ops moved.
-
-        *dirty_ops* are the operations whose incoming arcs changed (the
-        targets of freshly pushed serial arcs).  Operations are revisited in
-        topological order, so each affected slot is recomputed exactly once;
-        anything not reachable from a dirty operation provably keeps its
-        slot and is never touched.
-        """
-
-        g = self._g
-        ctx = ctx if ctx is not None else context_for(g)
-        pos = {v: i for i, v in enumerate(ctx.topological_order())}
-        heap = [(pos[v], v) for v in dirty_ops]
-        heapq.heapify(heap)
-        queued = {v for _, v in heap}
-        log = self._frames[-1] if self._frames else None
-        times = self._times
-        moved = 0
-        while heap:
-            _, node = heapq.heappop(heap)
-            queued.discard(node)
-            t = 0
-            for e in g.in_edges(node):
-                c = times[e.src] + e.latency
-                if c > t:
-                    t = c
-            if t != times[node]:
-                if log is not None and node not in log:
-                    log[node] = times[node]
-                times[node] = t
-                moved += 1
-                for succ in g.successors(node):
-                    if succ not in queued:
-                        queued.add(succ)
-                        heapq.heappush(heap, (pos[succ], succ))
-        if moved:
-            self._schedule = None
-        self.repairs += 1
-        self.repaired_ops += moved
-        return moved
 
 
 def register_pressure_aware_schedule(

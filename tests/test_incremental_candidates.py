@@ -1,6 +1,6 @@
 """Property tests for the incremental Greedy-k candidate engine (PR 5).
 
-Three warm paths replaced from-scratch recomputation inside the reduction
+Two warm paths replaced from-scratch recomputation inside the reduction
 loop's candidate machinery, and each must be byte-identical to the cold
 path it replaced:
 
@@ -10,11 +10,13 @@ path it replaced:
   equal a full :meth:`rebuild`'s;
 * the session's pair-verdict worklist re-uses ``consider`` verdicts for
   pairs untouched by the applied serialization -- every (possibly cached)
-  verdict must equal a cold session's on the same graph;
-* :class:`~repro.scheduling.list_scheduler.IncrementalListSchedule` repairs
-  the keep-alive candidate's list schedule downstream of pushed arcs -- the
-  repaired schedule must equal the from-scratch keep-alive scheduler's,
-  across push *and* pop.
+  verdict must equal a cold session's on the same graph.
+
+Greedy-k itself evaluates each distinct candidate killing function once:
+a repeated one cannot change the result, which must equal a reference loop
+that evaluates every candidate.  A lifetime-stretching list schedule is no
+candidate of its own, because under unlimited resources every priority
+yields the ASAP schedule.
 
 The tests drive the real heuristic loop (via ``_SessionDriver`` /
 ``_HeuristicLoop``) so the exercised kf deltas are the ones production
@@ -24,20 +26,28 @@ path would pass any equality check).
 
 from __future__ import annotations
 
+import dataclasses
+import random
+
 import pytest
 
 from repro.analysis.context import context_for
 from repro.codes.generator import layered_random_ddg, random_superblock
-from repro.codes.kernels import figure2_dag
-from repro.core.graph import Edge
-from repro.core.types import INT, DependenceKind
-from repro.reduction import ReductionSession
+from repro.core.machine import retarget, vliw
+from repro.core.schedule import asap_schedule, list_schedule_priority
+from repro.core.types import INT
+from repro.reduction import ReductionSession, reduce_saturation_heuristic
 from repro.reduction.heuristic import _HeuristicLoop, _SessionDriver
 from repro.reduction.serialization import SerializationMode
-from repro.saturation.greedy import _keep_alive_schedule_uncached
+from repro.saturation.dvk import saturating_antichain
+from repro.saturation.greedy import greedy_killing_function, greedy_saturation
 from repro.saturation.incremental import _CandidateDVState
-from repro.saturation.pkill import KillingFunction, killed_graph
-from repro.scheduling.list_scheduler import IncrementalListSchedule
+from repro.saturation.pkill import (
+    KillingFunction,
+    canonical_killing_function,
+    killed_graph,
+    killing_function_from_schedule,
+)
 
 
 def _edge_key(graph):
@@ -67,6 +77,9 @@ class TestCandidatePatchEqualsRebuild:
         for label, state in saturation._candidate_states.items():
             if not state.valid or state.kf_mapping is None:
                 continue
+            # A state skipped as a repeated candidate still queues the
+            # session's pushes; mirror them before comparing.
+            state.ensure_synced()
             kf = KillingFunction(session.rtype, state.kf_mapping)
             if state.cyclic:
                 # The cached invalidity verdict must agree with a cold build.
@@ -111,7 +124,6 @@ class TestCandidatePatchEqualsRebuild:
         assert stats["dv_patches"] > 0
         assert stats["dv_reuses"] > 0
         assert session.stats["pair_verdicts_reused"] > 0
-        assert stats["schedule_repairs"] > 0
 
     def test_patch_after_explicit_push_matches_rebuild(self):
         """Patching across session pushes (synced killed mirrors) stays exact."""
@@ -196,78 +208,115 @@ class TestPairVerdictWorklist:
         assert session._pair_verdicts == snapshot
 
 
-class TestIncrementalListSchedule:
-    """The repaired keep-alive schedule equals the from-scratch scheduler's."""
+#: A VLIW whose unit classes read at different offsets, so killers tied on
+#: ASAP time can differ in read date.
+_CLASSED_VLIW = dataclasses.replace(vliw(), read_offsets={"alu": 0, "fpu": 2, "mem": 1})
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_reschedule_matches_from_scratch(self, seed):
-        ddg = layered_random_ddg(nodes=16 + seed, layers=4, seed=60 + seed)
-        g = ddg.with_bottom()
-        warm = IncrementalListSchedule(g)
-        rtype = ddg.register_types()[0]
-        assert warm.schedule() == _keep_alive_schedule_uncached(g, rtype, context_for(g))
 
-        desc = context_for(g).descendants_map(include_self=False)
-        nodes = g.nodes()
-        added = 0
-        for u in nodes:
-            if added >= 3:
-                break
-            for v in nodes:
-                if u == v or u in desc[v] or v in desc[u]:
-                    continue
-                edge = Edge(u, v, 2, DependenceKind.SERIAL, None)
-                g.add_edge(edge)
-                desc = context_for(g).descendants_map(include_self=False)
-                warm.push()
-                warm.reschedule([v])
-                assert warm.schedule() == _keep_alive_schedule_uncached(
-                    g, rtype, context_for(g)
-                ), f"repair diverges after adding {u}->{v}"
-                added += 1
-                break
-        assert added >= 1
+def _classed_retarget(ddg, seed):
+    rng = random.Random(seed)
+    g = ddg.copy()
+    for op in list(g.operations()):
+        g.replace_operation(dataclasses.replace(op, fu_class=rng.choice(("alu", "fpu", "mem"))))
+    return retarget(g, _CLASSED_VLIW)
 
-    def test_push_pop_restores_schedule(self):
-        ddg = figure2_dag().with_bottom()
-        warm = IncrementalListSchedule(ddg)
-        before = warm.schedule()
-        desc = context_for(ddg).descendants_map(include_self=False)
-        pair = next(
-            (u, v)
-            for u in ddg.nodes()
-            for v in ddg.nodes()
-            if u != v and u not in desc[v] and v not in desc[u]
-        )
-        edge = Edge(pair[0], pair[1], 4, DependenceKind.SERIAL, None)
-        ddg.add_edge(edge)
-        warm.push()
-        warm.reschedule([pair[1]])
-        ddg.remove_edge(edge)
-        assert warm.pop()
-        assert warm.schedule() == before
-        # A pop past the build point reports the state unusable.
-        assert not warm.pop()
 
-    def test_latency_raise_is_repaired(self):
-        ddg = figure2_dag().with_bottom()
-        warm = IncrementalListSchedule(ddg)
-        edge = next(e for e in ddg.edges() if e.is_serial)
-        raised = Edge(edge.src, edge.dst, edge.latency + 7, DependenceKind.SERIAL, None)
-        ddg.add_edge(raised)
-        warm.reschedule([edge.dst])
-        rtype = ddg.register_types()[0]
-        assert warm.schedule() == _keep_alive_schedule_uncached(
-            ddg, rtype, context_for(ddg)
-        )
+def _antichain(g, kf):
+    killed = killed_graph(g, kf)
+    return saturating_antichain(g, kf, killed)[0] if killed.is_acyclic() else None
+
+
+class TestDistinctCandidates:
+    """Greedy-k evaluates each distinct killing function once, losing nothing."""
+
+    def _check(self, ddg, seen, warm=None):
+        """Cold Greedy-k, with and without an evaluator hook, and the session's
+        *warm* result against a reference loop over every candidate."""
+
+        ddg = ddg.copy()
+        g = context_for(ddg).bottom().ddg
+        calls = []
+
+        def evaluator(label, kf):
+            calls.append((label, kf.mapping))
+            return _antichain(g, kf)
+
+        results = [greedy_saturation(ddg, INT, candidate_evaluator=evaluator)]
+        results += [greedy_saturation(ddg.copy(), INT)] + ([] if warm is None else [warm])
+        candidates = [
+            ("greedy-k", greedy_killing_function(g, INT)),
+            ("canonical", canonical_killing_function(g, INT)),
+            ("asap-induced", killing_function_from_schedule(g, asap_schedule(g), INT)),
+        ]
+        mappings = [kf.mapping for _label, kf in candidates]
+        assert calls == [
+            (label, kf.mapping)
+            for i, (label, kf) in enumerate(candidates)
+            if kf.mapping not in mappings[:i]
+        ]
+        seen["asap_differs"] += mappings[1] != mappings[2]
+        evaluated = [(label, _antichain(g, kf), kf) for label, kf in candidates]
+        valid = [c for c in evaluated if c[1] is not None]
+        invalid = len(valid) < len(evaluated)
+        seen["cyclic"] += invalid
+        for result in results:
+            if not valid:
+                assert result.method == "greedy-k/fallback-asap"
+                continue
+            label, antichain, kf = max(valid, key=lambda c: len(c[1]))  # the first largest
+            assert (result.rs, result.saturating_values, result.killing_function) == (
+                len(antichain), tuple(sorted(antichain)), dict(kf.items())
+            )
+            details = result.details
+            assert details["winning_candidate"] == label
+            assert details["invalid_candidates_skipped"] == invalid
+            assert details["candidates_evaluated"] == len(candidates)
+
+    def test_each_distinct_candidate_once(self):
+        seen = {"asap_differs": 0, "cyclic": 0}
+        for seed in range(8):
+            base = layered_random_ddg(nodes=16, layers=4, seed=seed)
+            for ddg in (base, _classed_retarget(base, seed)):
+                self._check(ddg, seen)
+                driver = _SessionDriver(ddg.copy(), INT, SerializationMode.OFFSETS, True)
+                loop = _HeuristicLoop(driver, 500)
+                loop.on_iteration = lambda warm: self._check(driver.session.ddg, seen, warm)
+                loop.run_to(driver.saturation(), 3)
+        # The population reaches both cases the skip has to get right.
+        assert seen["asap_differs"] > 0 and seen["cyclic"] > 0
+
+
+class TestListScheduleIsAsap:
+    """Unlimited-resource list scheduling is ASAP whatever the priority."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_priority_gives_asap(self, seed):
+        base = layered_random_ddg(nodes=16 + seed, layers=4, seed=60 + seed)
+        on_vliw = _classed_retarget(base, seed)
+        # Serializing on the VLIW adds arcs of latency delta_r - delta_w < 0.
+        reduced = reduce_saturation_heuristic(on_vliw, INT, 2).extended_ddg
+        assert any(e.latency < 0 for e in reduced.edges())
+        for g in (base.with_bottom(), on_vliw.with_bottom(), reduced.with_bottom()):
+            ctx = context_for(g)
+            asap, horizon = ctx.asap_times(), ctx.critical_path_length() + 1
+
+            def keep_alive(node):
+                # Producers early, consumers late: a priority meant to
+                # stretch lifetimes.  It cannot, so Greedy-k needs no
+                # candidate for it.
+                consumes = any(e.is_flow and e.rtype == INT for e in g.in_edges(node))
+                return (g.operation(node).defines(INT) - consumes) * horizon - asap[node]
+
+            rng = random.Random(seed)
+            noise = {node: rng.random() for node in g.nodes()}
+            for priority in (keep_alive, lambda node: -keep_alive(node), noise.__getitem__):
+                assert list_schedule_priority(g, priority) == asap_schedule(g)
 
 
 class TestCounterSurfacing:
     """The new engine counters ride in the reduction report details."""
 
     def test_counters_in_details(self):
-        from repro.reduction import reduce_saturation_heuristic
-
         ddg = random_superblock(operations=60, seed=3)
         result = reduce_saturation_heuristic(ddg, INT, 6, engine="incremental")
         stats = result.details["engine_stats"]
@@ -276,9 +325,8 @@ class TestCounterSurfacing:
             "dv_reuses",
             "dv_patches",
             "pair_verdicts_reused",
-            "schedule_repairs",
         ):
             assert counter in stats, counter
         timings = stats["stage_timings"]
-        for stage in ("pair_scan", "dv_patch", "dv_rebuild", "keep_alive_repair"):
+        for stage in ("pair_scan", "dv_patch", "dv_rebuild"):
             assert stage in timings and timings[stage] >= 0.0

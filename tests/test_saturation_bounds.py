@@ -127,6 +127,22 @@ def test_figure2_proven_by_bounds(figure2):
     assert _recounted_need(figure2.with_bottom(), result.witness_schedule.times, INT) == 4
 
 
+@pytest.mark.needs_ilp_solver
+def test_horizon_accepts_witness_issued_within_it(figure2):
+    horizon = context_for(figure2).bottom().worst_case_total_time()
+    result = exact_saturation(figure2.copy(), INT, horizon=horizon)
+    assert (result.method, result.optimal) == ("bounds", True)
+    assert result.witness_schedule[BOTTOM] <= horizon
+    assert result.rs == intlp_saturation(figure2.copy(), INT, horizon=horizon).rs
+    issued = result.witness_schedule[BOTTOM]
+    assert exact_saturation(figure2.copy(), INT, horizon=issued).method == "bounds"
+    # A horizon the witness misses leaves the answer to the solver.
+    tight = issued - 1
+    solved = exact_saturation(figure2.copy(), INT, horizon=tight)
+    assert solved.method == "intlp"
+    assert solved.rs == intlp_saturation(figure2.copy(), INT, horizon=tight).rs
+
+
 def short_flow_arc_ddg():
     """``v`` is written 5 cycles into its operation, ``cv`` may read it after 1.
 
@@ -163,6 +179,10 @@ def test_intransitive_order_falls_back_to_value_count():
     assert len(maximum_antichain([u, v, w], [(u, v), (v, w), (u, w)])) == 1
     assert saturation_by_schedule_enumeration(ddg, INT).rs == 2
     assert saturation_upper_bound(ddg, INT) == len(ddg.values(INT)) == 3
+    # The DV closure undercounts here, and killing enumeration says so.
+    killing = saturation_by_killing_enumeration(ddg, INT)
+    assert killing.rs == 1
+    assert not killing.optimal and killing.details["short_flow_arc"]
 
 
 @pytest.mark.needs_ilp_solver
