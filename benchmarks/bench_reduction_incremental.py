@@ -19,13 +19,11 @@ suite) -- and checks:
 * the incremental engine actually took its warm paths -- including the
   candidate engine's killed-graph patches and pair-verdict reuse;
 * the aggregate speedup meets ``REPRO_REDUCTION_SPEEDUP_MIN`` (default 15
-  locally -- PR 9's vectorized verdict scan and patched cp state measured
-  12.9x-14.4x; PR 10's batched push path (block row-patching, bulk mirror
-  seeding, the cached component decomposition) plus a gc.collect before
-  each timed leg -- the collector used to bill the incremental run for
-  hundreds of seconds of prior scratch garbage -- measured 16.0x, with the
-  per-instance peak ~18x at scale-sb200.  CI's smoke mode only guards
-  against regressions).
+  locally; 16.4x on 2 vCPUs of an x86-64 Xeon under Python 3.11, with the
+  per-instance peak ~21x at scale-sb200.  A gc.collect before each timed
+  leg keeps the collector from billing the incremental run for the
+  from-scratch run's garbage.  CI's smoke mode only guards against
+  regressions).
 
 ``test_antichain_engine_speedup`` isolates PR 3's kernel claim: it records
 the DV-row trace of every Greedy-k candidate during a real reduction of the

@@ -32,7 +32,8 @@ Two engines drive the loop:
 
 Both engines share the candidate enumeration, the reachability pre-filter
 (pairs whose ordering the transitive closure already forces are skipped and
-counted instead of evaluated) and the tie-breaking, and produce identical
+counted instead of evaluated), the tie-breaking and the stop at the scan
+floor (:func:`~repro.reduction.session.scan_floor`), and produce identical
 :class:`~repro.reduction.result.ReductionResult` reports up to wall time and
 the ``details["engine"]`` tag.
 
@@ -57,7 +58,7 @@ from ..errors import CyclicGraphError, SpillRequiredError
 from ..saturation.greedy import greedy_saturation
 from ..saturation.result import SaturationResult
 from .result import ReductionResult
-from .session import ReductionSession
+from .session import ReductionSession, scan_floor
 from .serialization import (
     SerializationMode,
     apply_serialization,
@@ -157,16 +158,12 @@ class _SessionDriver:
     def critical_path(self) -> int:
         return self.session.critical_path()
 
-    def consider(self, before: Value, after: Value, base_cp: int):
-        result = self.session.consider(before, after, base_cp)
-        return _IMPLIED if result is self.session.IMPLIED else result
-
     def scan(self, saturating: Sequence[Value], base_cp: int):
-        """One whole candidate-pair scan inlined in the session (fast path).
+        """The candidate-pair scan inlined in the session (fast path).
 
-        Same verdicts, same winner, same counters as per-pair
-        :meth:`consider` calls -- the loop overhead (pair tuples, method
-        dispatch, per-pair cp refresh) is hoisted instead.
+        Same verdicts and winner as per-pair
+        :meth:`ReductionSession.consider` calls -- the loop overhead (pair
+        tuples, method dispatch, per-pair cp refresh) is hoisted instead.
         """
 
         return self.session.scan(saturating, base_cp)
@@ -246,12 +243,14 @@ class _HeuristicLoop:
             scan = getattr(driver, "scan", None)
             if scan is not None:
                 # Session engine: the whole quadratic scan runs inside the
-                # session with the pair keys and cp refresh hoisted; verdicts
-                # and the winning (cp_increase, arc_count) order are the same
-                # as the per-pair loop below.
+                # session with the pair keys and cp refresh hoisted; verdicts,
+                # the winning (cp_increase, arc_count) order and the stop at
+                # the floor are the same as the per-pair loop below.
                 best, implied = scan(saturating, base_cp)
                 self.skipped_implied += implied
             else:
+                # base_cp is the current critical path: the floor is (0, 1).
+                floor = scan_floor(base_cp, base_cp)
                 for before, after in _candidate_pairs(saturating):
                     # Pairs the transitive closure already orders cannot
                     # change the saturation; `consider` skips them before
@@ -267,6 +266,8 @@ class _HeuristicLoop:
                     key = (cp_increase, arc_count)
                     if best is None or key < best[0]:
                         best = (key, payload)
+                        if key == floor:
+                            break  # no later pair can beat it
             # One stage-timer sample per iteration (a per-pair timer would
             # out-cost the worklist's reuse fast path).
             driver.record_scan_time(time.perf_counter() - scan_start)
@@ -374,6 +375,11 @@ def reduce_saturation_heuristic(
         to at most the budget.  ``achieved_rs`` is the Greedy-k estimate of
         the extended graph (a lower bound of its true saturation; the paper's
         experiments compare it against the exact value).
+        ``details["skipped_implied_pairs"]`` counts the pairs found already
+        ordered by the transitive closure among those the scans visited; a
+        scan stops at the first pair that no later pair can beat (see
+        :func:`~repro.reduction.session.scan_floor`), so pairs after it are
+        not counted.  Both engines visit the same pairs.
     """
 
     start = time.perf_counter()

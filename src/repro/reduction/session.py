@@ -43,11 +43,26 @@ from .serialization import (
     serialization_latency,
 )
 
-__all__ = ["ReductionSession"]
+__all__ = ["ReductionSession", "scan_floor"]
 
 #: Removal sentinel for the verdict-cache maintenance (verdict tuples are
 #: always truthy, but a dedicated object keeps the intent explicit).
 _MISS = object()
+
+
+def scan_floor(cp: int, base_cp: int) -> Tuple[int, int]:
+    """The least ``(cp_increase, arc_count)`` key any candidate pair can score.
+
+    Adding arcs never shortens a longest path, so no candidate's extended
+    critical path is below the current one, *cp*; and every candidate adds
+    at least one arc (a pair with nothing to add is no candidate).  A scan
+    keeping the first strict minimum can therefore stop at the first pair
+    that scores this key: it is the pair the full scan would return.  In
+    the reduction loop *base_cp* is the current critical path, so the
+    floor is ``(0, 1)``.
+    """
+
+    return (cp - base_cp, 1)
 
 
 class _KillingSetCache(dict):
@@ -140,7 +155,6 @@ class ReductionSession:
         # them under, so they are conservatively dropped on every push.
         self._volatile_keys: set = set()
         self._cp_state_version = -1
-        self._asap: Dict[str, int] = {}
         self._to_sinks: Dict[str, float] = {}
         self._cp = 0
         self.stats: Dict[str, int] = {
@@ -257,42 +271,27 @@ class ReductionSession:
     def _refresh_cp_state(self) -> None:
         if self._cp_state_version != self.ddg.version:
             ctx = context_for(self.ddg)
-            # Copies, not the context's cached dicts: `_patch_cp_state`
-            # updates these in place after a push.
-            self._asap = dict(ctx.asap_times())
+            # A copy, not the context's cached dict: `_patch_cp_state`
+            # updates it in place after a push.
             self._to_sinks = dict(ctx.longest_path_to_sinks())
             self._cp = ctx.critical_path_length()
             self._cp_state_version = self.ddg.version
 
     def _patch_cp_state(self, records) -> set:
-        """Relax the warm ASAP/sink-distance maps over freshly added arcs.
+        """Relax the warm sink-distance map over freshly added arcs.
 
         Adding arcs only ever lengthens longest paths, so a monotone
         worklist relaxation from the arc endpoints reproduces the full
         recompute exactly (same integer arithmetic) while touching only the
         affected region.  Returns the set of nodes whose sink distance
         changed -- precisely the upstream dirty region the verdict
-        invalidation needs.
+        invalidation needs.  The working :class:`IncrementalAnalysis`
+        relaxes the ASAP times the same way.
         """
 
         g = self.ddg
-        asap = self._asap
         sinks = self._to_sinks
         queue: List[str] = []
-        for record in records:
-            edge = record.edge
-            cand = asap[edge.src] + edge.latency
-            if cand > asap[edge.dst]:
-                asap[edge.dst] = cand
-                queue.append(edge.dst)
-        while queue:
-            v = queue.pop()
-            base = asap[v]
-            for edge in g.out_edges(v):
-                cand = base + edge.latency
-                if cand > asap[edge.dst]:
-                    asap[edge.dst] = cand
-                    queue.append(edge.dst)
         changed: set = set()
         for record in records:
             edge = record.edge
@@ -394,16 +393,18 @@ class ReductionSession:
         return int(max(self._cp, x)) - base_cp, arc_count, payload
 
     def scan(self, saturating, base_cp: int) -> Tuple[Optional[Tuple], int]:
-        """One full candidate-pair scan, inlined (the driver fast path).
+        """The candidate-pair scan, inlined (the driver fast path).
 
-        Evaluates every ordered pair of *saturating* values through the
-        verdict cache exactly as per-pair :meth:`consider` calls would, but
-        with the pair keys, the critical-path refresh, and the stats
-        bookkeeping hoisted out of the quadratic loop.  Returns
+        Walks the ordered pairs of *saturating* values through the verdict
+        cache exactly as per-pair :meth:`consider` calls would, with the
+        pair keys, the critical-path refresh, and the stats bookkeeping
+        hoisted out of the quadratic loop.  The walk ends at the first pair
+        scoring :func:`scan_floor`, which no later pair can beat.  Returns
         ``(best, implied_count)`` where *best* is
         ``((cp_increase, arc_count), payload)`` for the winning pair under
-        the same strict lexicographic order the generic driver loop used, or
-        None when no pair is applicable.
+        the same strict lexicographic order the generic driver loop uses,
+        or None when no pair is applicable; *implied_count* counts the
+        IMPLIED pairs among those visited.
         """
 
         verdicts = self._pair_verdicts
@@ -419,6 +420,7 @@ class ReductionSession:
         best: Optional[Tuple] = None
         self._refresh_cp_state()
         cp = self._cp
+        floor = scan_floor(cp, base_cp)
         indexed = [(v, vindex.get(v.node)) for v in saturating]
         for u, ui in indexed:
             base = ui * n if ui is not None else None
@@ -445,6 +447,11 @@ class ReductionSession:
                 if best_key is None or (inc, arc_count) < best_key:
                     best_key = (inc, arc_count)
                     best = (best_key, payload)
+                    if best_key == floor:
+                        break
+            else:
+                continue
+            break  # the inner loop reached the floor
         self.stats["pair_verdicts_reused"] += reused
         self.stats["implied_skipped"] += implied_count
         return best, implied_count
@@ -517,7 +524,7 @@ class ReductionSession:
             return self._V_NONE
         self.stats["evaluated_candidates"] += 1
         self._refresh_cp_state()
-        asap = self._asap
+        asap = self._analysis.asap_times()
         best_target = asap[target]
         for reader, latency in kept:
             cand = asap[reader] + latency

@@ -524,8 +524,9 @@ def _greedy_saturation_uncached(
     start = time.perf_counter()
     bottom_ctx = ctx.bottom()
     g = bottom_ctx.ddg
-    values = g.values(rtype)
-    if not values:
+    # Keyed by exactly g.values(rtype); the warm engine injects it.
+    pk_map = potential_killers_map(g, rtype, bottom_ctx)
+    if not pk_map:
         return SaturationResult(rtype, 0, method="greedy-k", wall_time=time.perf_counter() - start)
 
     candidates: List[Tuple[str, KillingFunction]] = []
@@ -551,7 +552,6 @@ def _greedy_saturation_uncached(
     best_kf: Optional[KillingFunction] = None
     best_label = "greedy-k"
     fallback_used = False
-    pk_map = potential_killers_map(g, rtype, bottom_ctx)
     evaluated: List[Mapping[Value, str]] = []
     for label, kf in candidates:
         # A repeated killing function has the earlier candidate's validity
@@ -607,6 +607,6 @@ def _greedy_saturation_uncached(
             "winning_candidate": best_label,
             "candidates_evaluated": len(candidates),
             "invalid_candidates_skipped": fallback_used,
-            "num_values": len(values),
+            "num_values": len(pk_map),
         },
     )

@@ -96,6 +96,9 @@ class _AnalysisFrame:
     #: dirty-region update uses it to recheck exactly the pairs whose
     #: longest path moved.
     lp_changes: Dict[int, List[int]] = field(default_factory=dict)
+    #: The pre-push ASAP dict (None when ASAP is not tracked); each push
+    #: relaxes a copy, so pop restores this one by reference.
+    asap: Optional[Dict[str, int]] = None
 
 
 class IncrementalAnalysis:
@@ -107,7 +110,9 @@ class IncrementalAnalysis:
     rows are patched copy-on-write: unchanged sets/rows are shared with the
     previous epoch, so an undo frame is just a handful of references.
     Longest-path rows are flat op-id-indexed buffers (see the module
-    docstring); *interner* accepts a shared
+    docstring).  An analysis that tracks reachability also keeps the ASAP
+    times warm from its first push on and publishes them as the context's
+    ``asap_times()``.  *interner* accepts a shared
     :class:`~repro.analysis.interner.OpInterner` so sibling analyses over
     copies of the same graph (the candidate killed mirrors) agree on every
     id.  Instances are not thread-safe; they are meant to back one
@@ -131,6 +136,9 @@ class IncrementalAnalysis:
         self._n = interner.size
         self._desc_incl: Optional[Dict[str, Set[str]]] = None
         self._desc_excl: Optional[Dict[str, Set[str]]] = None
+        #: ASAP issue times, seeded by the first push (tracked analyses
+        #: only) and relaxed copy-on-write by every later one.
+        self._asap: Optional[Dict[str, int]] = None
         self._lp_rows: Dict[int, List[float]] = {}
         self._frames: List[_AnalysisFrame] = []
         #: Flat out-adjacency, op id -> [(dst id, latency), ...], cached per
@@ -183,6 +191,13 @@ class IncrementalAnalysis:
     def descendants_excl(self) -> Dict[str, Set[str]]:
         self._ensure_desc()
         return self._desc_excl  # type: ignore[return-value]
+
+    def asap_times(self) -> Dict[str, int]:
+        """ASAP issue times of the current graph (read-only, shared)."""
+
+        if self._asap is not None:
+            return self._asap
+        return context_for(self._g).asap_times()
 
     def _adj_pairs(self) -> List[List[Tuple[int, int]]]:
         version = self._g.version
@@ -375,10 +390,13 @@ class IncrementalAnalysis:
 
         if self._track_reachability:
             self._ensure_desc()
+            if self._asap is None:
+                self._asap = context_for(self._g).asap_times()
         frame = _AnalysisFrame(
             desc_incl=self._desc_incl,
             desc_excl=self._desc_excl,
             lp_rows=self._lp_rows,
+            asap=self._asap,
         )
         # Copy-on-write epoch: top-level dicts are fresh, the sets/rows they
         # point to are shared until individually patched.
@@ -459,9 +477,39 @@ class IncrementalAnalysis:
                 _AppliedArc(edge, duplicate, ancestors, addition)
             )
 
+        if self._asap is not None and frame.records:
+            self._asap = self._relaxed_asap(frame.records)
         self._frames.append(frame)
         self._inject()
         return frame
+
+    def _relaxed_asap(self, records: List[_AppliedArc]) -> Dict[str, int]:
+        """A copy of the ASAP dict relaxed forward over freshly applied arcs.
+
+        Adding arcs only lengthens longest paths, so a monotone worklist
+        relaxation from the arcs' destinations reaches the full recompute's
+        times exactly (same integer arithmetic) while touching only the
+        region below the arcs.
+        """
+
+        g = self._g
+        asap = dict(self._asap)  # type: ignore[arg-type]
+        queue: List[str] = []
+        for record in records:
+            edge = record.edge
+            cand = asap[edge.src] + edge.latency
+            if cand > asap[edge.dst]:
+                asap[edge.dst] = cand
+                queue.append(edge.dst)
+        while queue:
+            v = queue.pop()
+            base = asap[v]
+            for edge in g.out_edges(v):
+                cand = base + edge.latency
+                if cand > asap[edge.dst]:
+                    asap[edge.dst] = cand
+                    queue.append(edge.dst)
+        return asap
 
     def pop(self) -> None:
         """Undo the most recent :meth:`push`, restoring graph and analyses."""
@@ -495,6 +543,7 @@ class IncrementalAnalysis:
         self._desc_incl = frame.desc_incl
         self._desc_excl = frame.desc_excl
         self._lp_rows = frame.lp_rows
+        self._asap = frame.asap
         self._inject()
 
     def _inject(self) -> None:
@@ -512,6 +561,9 @@ class IncrementalAnalysis:
         desc_incl, desc_excl = self._desc_incl, self._desc_excl
         ctx.memo(("desc", True), lambda: desc_incl)
         ctx.memo(("desc", False), lambda: desc_excl)
+        if self._asap is not None:
+            asap = self._asap
+            ctx.memo("asap", lambda: asap)
 
 
 #: Sentinel returned by `_CandidateDVState.antichain` when the DV relation

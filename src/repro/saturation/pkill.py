@@ -213,8 +213,11 @@ def killing_function_from_schedule(
     """The killing function induced by a schedule: the last potential-killer read wins.
 
     Ties are broken deterministically (largest read cycle, then operation
-    name) so the result is reproducible.  The induced function is always
-    valid because the schedule itself satisfies the killing arcs it implies.
+    name) so the result is reproducible.  The induced function is *not*
+    always valid.  The schedule satisfies every killing arc it implies, so
+    the killed graph has no cycle of positive latency; but ops issued in the
+    same cycle can still close a zero-latency one.  Callers must check the
+    killed graph's acyclicity, as Greedy-k does.
     """
 
     rtype = canonical_type(rtype)
@@ -237,8 +240,9 @@ def canonical_killing_function(ddg: DDG, rtype: RegisterType | str) -> KillingFu
     from the sources is chosen; intuitively the value is kept alive as long
     as possible, which tends to maximise overlap.  The result is not always
     acyclic-valid on adversarial graphs -- callers are expected to check
-    :meth:`KillingFunction.is_valid` and fall back to a schedule-induced
-    function if needed.
+    :meth:`KillingFunction.is_valid`.  A schedule-induced function is no
+    safe fallback: it can be cyclic too (see
+    :func:`killing_function_from_schedule`).
     """
 
     rtype = canonical_type(rtype)

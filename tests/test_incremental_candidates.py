@@ -12,6 +12,9 @@ path it replaced:
   pairs untouched by the applied serialization -- every (possibly cached)
   verdict must equal a cold session's on the same graph.
 
+The pair scan stops at the first pair that no later pair can beat, and
+must return the winner of a full per-pair scan.
+
 Greedy-k itself evaluates each distinct candidate killing function once:
 a repeated one cannot change the result, which must equal a reference loop
 that evaluates every candidate.  A lifetime-stretching list schedule is no
@@ -219,6 +222,61 @@ def _classed_retarget(ddg, seed):
     for op in list(g.operations()):
         g.replace_operation(dataclasses.replace(op, fu_class=rng.choice(("alu", "fpu", "mem"))))
     return retarget(g, _CLASSED_VLIW)
+
+
+def _full_scan(session, saturating, base_cp):
+    """Reference scan: score every ordered pair, keep the first minimum.
+
+    Returns ``(best, winner_index, implied_flags)``: the winner as
+    ``((cp_increase, arc_count), payload)`` (None when no pair applies),
+    its position in the pair order, and one IMPLIED flag per pair.
+    """
+
+    best, winner, implied = None, None, []
+    pairs = [(u, v) for u in saturating for v in saturating if u != v]
+    for index, (u, v) in enumerate(pairs):
+        verdict = session.consider(u, v, base_cp)
+        implied.append(verdict is session.IMPLIED)
+        if verdict is session.IMPLIED or verdict is None:
+            continue
+        cp_increase, arc_count, payload = verdict
+        if best is None or (cp_increase, arc_count) < best[0]:
+            best, winner = ((cp_increase, arc_count), payload), index
+    return best, winner, implied
+
+
+class TestScanFloor:
+    """`scan` stops at the first pair scoring the floor, and loses nothing."""
+
+    def test_scan_returns_the_full_scans_winner(self):
+        seen = {"early": 0, "above_floor": 0}
+
+        def checked(session):
+            def scan(saturating, base_cp):
+                got = session.scan(saturating, base_cp)
+                best, winner, implied = _full_scan(session, saturating, base_cp)
+                assert got[0] == best
+                stop = len(implied) - 1
+                if best is not None and best[0] == (0, 1):
+                    stop = winner
+                    seen["early"] += winner < len(implied) - 1
+                elif best is not None:
+                    seen["above_floor"] += 1
+                # Only the pairs visited before the stop are counted.
+                assert got[1] == sum(implied[: stop + 1])
+                return got
+
+            return scan
+
+        for seed in range(8):
+            base = layered_random_ddg(nodes=16, layers=4, seed=seed)
+            # The VLIW retarget serializes with negative-latency arcs.
+            for ddg in (base, _classed_retarget(base, seed)):
+                driver = _SessionDriver(ddg.copy(), INT, SerializationMode.OFFSETS, True)
+                driver.scan = checked(driver.session)
+                _HeuristicLoop(driver, 500).run_to(driver.saturation(), 3)
+        # Both the early stop and the full walk are exercised.
+        assert seen["early"] > 0 and seen["above_floor"] > 0
 
 
 def _antichain(g, kf):

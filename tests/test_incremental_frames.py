@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from repro.analysis import flatbuf
+from repro.analysis import flatbuf, graphalgo
 from repro.analysis.context import context_for
 from repro.codes.generator import layered_random_ddg
 from repro.codes.suite import kernel_suite
@@ -140,6 +140,11 @@ class TestRandomInterleavings:
             desc = analysis.descendants_incl()
             for node in g.nodes():
                 assert desc[node] == _reachable_by_dfs(g, node), f"{label} {node}"
+            # The warm ASAP times, published on the graph's context.
+            asap = context_for(g).asap_times()
+            assert asap == graphalgo.asap_times(g.copy()), label
+            if pushes:
+                assert asap is analysis.asap_times(), label
         assert pushes >= 10
 
         while analysis.depth:

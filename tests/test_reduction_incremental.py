@@ -494,3 +494,30 @@ class TestIncrementalAnalysisExactness:
         assert ctx.descendants_map(include_self=False) == graphalgo.descendants_map(
             g, include_self=False
         )
+        mirror = session._saturation.mirror_ddg
+        for graph in (g, mirror):
+            assert context_for(graph).asap_times() == graphalgo.asap_times(graph.copy())
+
+    def test_asap_computed_once_per_tracked_analysis(self, monkeypatch):
+        """Warm iterations read ASAP off the analyses, never a fresh sort."""
+
+        session = ReductionSession(random_superblock(operations=60, seed=3), INT)
+        tracked = (session.ddg, session._saturation.mirror_ddg)
+        computed = []
+        real = graphalgo.asap_times
+
+        def counted(ddg):
+            computed.append(ddg)
+            return real(ddg)
+
+        monkeypatch.setattr(graphalgo, "asap_times", counted)
+        sat = session.saturation()
+        for _ in range(10):
+            best, _implied = session.scan(sat.saturating_values, session.critical_path())
+            assert best is not None
+            session.apply_payload(best[1])
+            sat = session.saturation()
+        # At most one sort per tracked graph (working graph and bottom
+        # mirror), and none of any other graph.
+        assert all(any(g is t for t in tracked) for g in computed)
+        assert len({id(g) for g in computed}) == len(computed) <= 2

@@ -2,14 +2,17 @@
 
 import pytest
 
+from repro.codes.generator import layered_random_ddg
 from repro.core import DDGBuilder, asap_schedule
 from repro.core.types import INT, Value
 from repro.errors import KillingFunctionError
+from repro.reduction import reduce_saturation_heuristic
 from repro.saturation import (
     KillingFunction,
     canonical_killing_function,
     disjoint_value_dag,
     enumerate_killing_functions,
+    greedy_saturation,
     killed_graph,
     killing_function_from_schedule,
     potential_killers,
@@ -83,6 +86,36 @@ class TestKillingFunction:
         kf = killing_function_from_schedule(g, asap_schedule(g), INT)
         assert kf.is_valid(g)
         assert len(kf) == 4
+
+    def test_schedule_induced_can_close_a_zero_latency_cycle(self):
+        """Ops issued in the same cycle can close a zero-latency killed cycle.
+
+        After one R=3 serialization (the zero-latency arc n15 -> n13) the
+        ASAP-induced killing function adds the killing arcs n13 -> n14 and
+        n14 -> n15; all three ops issue at cycle 10.  The schedule satisfies
+        every arc of the killed graph, so the cycle cannot have a positive
+        latency, yet it is a cycle: the induced function is invalid here.
+        """
+
+        base = layered_random_ddg(nodes=16, layers=4, seed=26)
+        reduced = reduce_saturation_heuristic(base, INT, 3, max_iterations=1)
+        assert [(e.src, e.dst, e.latency) for e in reduced.added_edges] == [
+            ("n15", "n13", 0)
+        ]
+        g = reduced.extended_ddg.with_bottom()
+        schedule = asap_schedule(g)
+        kf = killing_function_from_schedule(g, schedule, INT)
+        killed = killed_graph(g, kf)
+        assert schedule.is_valid(killed)
+        assert not killed.is_acyclic()
+        cycle = [("n13", "n14"), ("n14", "n15"), ("n15", "n13")]
+        assert all(killed.best_latency_between(u, v) == 0 for u, v in cycle)
+        assert {schedule[node] for node in ("n13", "n14", "n15")} == {10}
+        # The canonical candidate is cyclic too; Greedy-k skips both.
+        assert not canonical_killing_function(g, INT).is_valid(g)
+        result = greedy_saturation(reduced.extended_ddg, INT)
+        assert result.rs == 11
+        assert result.details["invalid_candidates_skipped"] is True
 
     def test_canonical_killing_function_structure(self, figure2):
         g = figure2.with_bottom()
