@@ -242,13 +242,13 @@ def test_incremental_session_speedup():
 def _record_dv_traces(ddg, rtype, budget):
     """Drive the real heuristic loop and capture every candidate's DV rows.
 
-    Returns ``{label: [segment, ...]}`` where each segment is the list of
-    DV-row snapshots between two rebuilds of that candidate's killing
-    function -- exactly the monotone growth the persistent engine consumed
-    during the run (one snapshot per Greedy-k evaluation).  The run goes
-    through ``_HeuristicLoop``/``_SessionDriver`` themselves (observed via
-    ``on_iteration``), not a re-implementation, so the recorded workload is
-    the one ``reduce_saturation_heuristic`` really executes.
+    Returns ``{label: [rows, ...]}``: one DV-row snapshot per Greedy-k
+    evaluation of that candidate, in order, across killing-function changes
+    -- exactly the sequence of relations the persistent engine consumed
+    during the run.  The run goes through ``_HeuristicLoop``/
+    ``_SessionDriver`` themselves (observed via ``on_iteration``), not a
+    re-implementation, so the recorded workload is the one
+    ``reduce_saturation_heuristic`` really executes.
     """
 
     from repro.reduction.heuristic import _HeuristicLoop, _SessionDriver
@@ -262,17 +262,14 @@ def _record_dv_traces(ddg, rtype, budget):
         for label, state in session._saturation._candidate_states.items():
             if state.analysis is None or state._engine is None:
                 continue
-            segments = traces.setdefault(label, [])
-            if not segments or segments[-1][0] != state.rebuild_count:
-                segments.append((state.rebuild_count, []))
-            segments[-1][1].append(state.dv_rows())
+            traces.setdefault(label, []).append(state.dv_rows())
 
     loop = _HeuristicLoop(driver, max_iterations=2000)
     loop.on_iteration = snapshot
     initial = driver.saturation()
     snapshot()
     loop.run_to(initial, budget)
-    return {label: [seg for _, seg in segments] for label, segments in traces.items()}
+    return traces
 
 
 def test_antichain_engine_speedup():
@@ -282,14 +279,17 @@ def test_antichain_engine_speedup():
     paths, asserting byte-identical antichains on every call and the PR-3
     kernel claim: >= 2x on the 200-operation superblock locally
     (``REPRO_ANTICHAIN_SPEEDUP_MIN`` overrides; CI smoke mode guards at 1x
-    on its small tier).
+    on its small tier).  Each label replays as one sequence, the way the
+    engine lives through killing-function changes: rows that only grew go
+    through ``insert_mask``, a step where some row shrank through
+    ``replace_rows``.
     """
 
     if _SMOKE:
         # The smallest superblock tier: candidate killing functions are
-        # stable across iterations there (long monotone segments), which is
+        # stable across iterations there (long monotone runs), which is
         # the regime the persistent engine targets -- layered toy DAGs
-        # rebuild nearly every call and only measure seeding overhead.
+        # change killing functions nearly every call.
         entry = scale_suite(sizes=(), superblock_sizes=(120,))[0]
     else:
         entry = scale_suite(sizes=(), superblock_sizes=(200,))[0]
@@ -300,40 +300,44 @@ def test_antichain_engine_speedup():
     t_scratch = 0.0
     t_persistent = 0.0
     calls = 0
-    segment_count = 0
-    for label, segments in sorted(traces.items()):
-        for segment in segments:
-            segment_count += 1
-            calls += len(segment)
+    replacements = 0
+    for label, sequence in sorted(traces.items()):
+        calls += len(sequence)
 
-            start = time.perf_counter()
-            reference = [antichain_indices_from_rows(rows) for rows in segment]
-            t_scratch += time.perf_counter() - start
+        start = time.perf_counter()
+        reference = [antichain_indices_from_rows(rows) for rows in sequence]
+        t_scratch += time.perf_counter() - start
 
-            # The persistent replay pays for everything the real engine
-            # pays for: seeding, per-arc closure maintenance, frame
-            # bookkeeping, matching repair and extraction.
-            start = time.perf_counter()
-            engine = PersistentAntichain(len(segment[0]), rows=segment[0])
-            replayed = [list(engine.antichain_indices())]
-            previous = segment[0]
-            for rows in segment[1:]:
-                engine.push()
+        # The persistent replay pays for everything the real engine pays
+        # for: seeding, per-arc closure maintenance, row replacement, frame
+        # bookkeeping, matching repair and extraction.
+        start = time.perf_counter()
+        engine = PersistentAntichain(len(sequence[0]), rows=sequence[0])
+        replayed = [list(engine.antichain_indices())]
+        previous = sequence[0]
+        for rows in sequence[1:]:
+            engine.push()
+            if any(old & ~new for old, new in zip(previous, rows)):
+                replacements += 1
+                engine.replace_rows(
+                    rows, [i for i, (old, new) in enumerate(zip(previous, rows)) if old != new]
+                )
+            else:
                 for i, (new, old) in enumerate(zip(rows, previous)):
                     engine.insert_mask(i, new & ~old)
-                replayed.append(list(engine.antichain_indices()))
-                previous = rows
-            t_persistent += time.perf_counter() - start
+            replayed.append(list(engine.antichain_indices()))
+            previous = rows
+        t_persistent += time.perf_counter() - start
 
-            assert replayed == reference, (
-                f"persistent antichains diverge from the from-scratch path "
-                f"on candidate {label!r}"
-            )
+        assert replayed == reference, (
+            f"persistent antichains diverge from the from-scratch path "
+            f"on candidate {label!r}"
+        )
 
     speedup = t_scratch / t_persistent if t_persistent else float("inf")
     print(section(f"antichain kernel: persistent engine vs from-scratch ({entry.name})"))
-    print(f"{'calls':>6} {'segments':>9} {'scratch':>9} {'persistent':>11} {'speedup':>8}")
-    print(f"{calls:>6} {segment_count:>9} {t_scratch:>8.2f}s {t_persistent:>10.2f}s "
+    print(f"{'calls':>6} {'replaced':>9} {'scratch':>9} {'persistent':>11} {'speedup':>8}")
+    print(f"{calls:>6} {replacements:>9} {t_scratch:>8.2f}s {t_persistent:>10.2f}s "
           f"{speedup:>7.2f}x")
 
     default_min = "1.0" if _SMOKE else "2.0"

@@ -22,8 +22,12 @@ reduction loop: the DV-DAG of an unchanged killing function only *gains*
 edges as serial arcs are pushed, so the transitive closure is maintained as
 a running family of bitsets and the matching is kept alive across updates --
 edge additions never invalidate a matching, so each update costs a handful
-of augmenting-path phases instead of a full solve.  The extracted antichain
-is nevertheless byte-identical to the from-scratch path: by the uniqueness
+of augmenting-path phases instead of a full solve.  When a candidate's
+killing function changes, the engine swaps the changed DV rows in place
+(:meth:`PersistentAntichain.replace_rows`): only the closure rows that can
+see a changed row are recomputed, and every matched pair the new closure
+still holds is kept.  The extracted antichain is nevertheless
+byte-identical to the from-scratch path: by the uniqueness
 of the Dulmage--Mendelsohn decomposition, the Koenig sets ``Z_L``/``Z_R``
 (alternating-path reachability from the unmatched left vertices) are the
 same for *every* maximum matching of the split graph, so the repaired
@@ -297,28 +301,30 @@ def is_antichain(
     return True
 
 
-def closure_from_rows(rows: Sequence[int]) -> Optional[List[int]]:
-    """Transitive-closure bitsets of a bit relation, or None on a cycle.
+def _close_members(
+    rows: Sequence[int], closure: List[int], members: Sequence[int], member_mask: int
+) -> bool:
+    """Recompute ``closure[i]`` for every *member* ``i``; False on a cycle.
 
-    Kahn over the bit relation, then closure accumulation in reverse
-    topological order with big-int ORs.  Shared by the from-scratch
-    reference path and the persistent engine's seeding, so the two can
-    never diverge.
+    Kahn over the relation restricted to the members, then closure
+    accumulation in reverse topological order with big-int ORs.  The
+    closure rows of non-members are read as final, so they must already be
+    exact for *rows*.  On a cycle among the members nothing is written.
     """
 
-    n = len(rows)
-    indeg = [0] * n
-    for mask in rows:
+    indeg = [0] * len(rows)
+    for i in members:
+        mask = rows[i] & member_mask
         while mask:
             low = mask & -mask
             indeg[low.bit_length() - 1] += 1
             mask ^= low
-    stack = [i for i in range(n) if indeg[i] == 0]
+    stack = [i for i in members if indeg[i] == 0]
     order: List[int] = []
     while stack:
         i = stack.pop()
         order.append(i)
-        mask = rows[i]
+        mask = rows[i] & member_mask
         while mask:
             low = mask & -mask
             j = low.bit_length() - 1
@@ -326,17 +332,33 @@ def closure_from_rows(rows: Sequence[int]) -> Optional[List[int]]:
             indeg[j] -= 1
             if indeg[j] == 0:
                 stack.append(j)
-    if len(order) != n:
-        return None
-    closure = [0] * n
+    if len(order) != len(members):
+        return False
     for i in reversed(order):
         acc = 0
         mask = rows[i]
         while mask:
             low = mask & -mask
             acc |= low | closure[low.bit_length() - 1]
-            mask ^= low
+            # A successor already in acc is below one already merged, so
+            # its closure is in acc too.
+            mask &= ~acc
         closure[i] = acc
+    return True
+
+
+def closure_from_rows(rows: Sequence[int]) -> Optional[List[int]]:
+    """Transitive-closure bitsets of a bit relation, or None on a cycle.
+
+    Shares its kernel with the persistent engine's seeding and row
+    replacement, so the from-scratch reference and the engine can never
+    disagree on how a closure row is accumulated.
+    """
+
+    n = len(rows)
+    closure = [0] * n
+    if not _close_members(rows, closure, range(n), (1 << n) - 1):
+        return None
     return closure
 
 
@@ -392,7 +414,7 @@ class _Frame:
 
 
 class PersistentAntichain:
-    """Maximum-antichain maintenance under monotone edge insertion.
+    """Maximum-antichain maintenance under edge insertion and row replacement.
 
     The ground set is ``range(n)``; the strict order lives as one closure
     bitset per vertex (bit ``j`` of ``closure[i]`` means ``i < j`` in the
@@ -401,17 +423,21 @@ class PersistentAntichain:
     * **closure**: inserting ``u < v`` adds ``{v} | closure[v]`` to ``u``
       and to every current ancestor of ``u`` -- one bitset OR per dirty
       vertex instead of the full Kahn + reverse-topological rebuild;
+      replacing rows (:meth:`replace_rows`, growth and shrink alike)
+      recomputes only the changed vertices and their ancestors;
     * **matching**: an edge *addition* never invalidates a matching of the
       split graph, so the previous ``match_l``/``match_r`` stay a valid
       (near-maximum) starting point and only augmenting paths from the
       still-free left vertices must be searched -- usually a single BFS
-      phase that finds nothing, instead of a from-scratch Hopcroft--Karp;
+      phase that finds nothing, instead of a from-scratch Hopcroft--Karp.
+      A replacement drops only the matched pairs its new closure lost;
     * **extraction**: the Koenig sets are the same for every maximum
       matching (Dulmage--Mendelsohn uniqueness), so the repaired matching
       extracts the *byte-identical* antichain to the from-scratch path
       (:func:`antichain_indices_from_rows`); the property tests pin that.
 
-    :meth:`push`/:meth:`pop` bracket a group of insertions with an undo log
+    :meth:`push`/:meth:`pop` bracket a group of insertions and replacements
+    with an undo log
     (pre-change closure rows and matching entries), which is what lets the
     reduction session's candidate DV states survive its own push/pop
     protocol instead of being rebuilt after every undo.
@@ -431,20 +457,11 @@ class PersistentAntichain:
         self._frames: List[_Frame] = []
         self._cached: Optional[List[int]] = None
         if rows is not None:
-            self._seed(rows)
+            self.replace_rows(rows, range(n))
 
     # ------------------------------------------------------------------ #
     # Construction / mutation
     # ------------------------------------------------------------------ #
-    def _seed(self, rows: Sequence[int]) -> None:
-        """Bulk-build the closure from raw successor bitsets."""
-
-        closure = closure_from_rows(rows)
-        if closure is None:
-            self.cyclic = True
-            return
-        self._closure = closure
-
     def insert(self, u: int, v: int) -> bool:
         """Insert the strict-order pair ``u < v``; False when it closes a cycle.
 
@@ -492,6 +509,63 @@ class PersistentAntichain:
             mask ^= low
         return True
 
+    def replace_rows(self, rows: Sequence[int], changed: Iterable[int]) -> bool:
+        """Replace the successor rows of the *changed* vertices; False on a cycle.
+
+        *rows* is the whole new relation, equal to the old one outside
+        *changed*.  Only the closure rows of changed vertices and of their
+        ancestors are recomputed: any other vertex reaches only unchanged
+        rows, so its reachable set is the same in both relations.  A cycle
+        can only run through recomputed vertices and marks the engine
+        cyclic; a cyclic engine recomputes every row, so a later
+        replacement that removes the cycle recovers it.  Every matched pair
+        still in the new closure is kept and :meth:`_repair` augments from
+        there, which extracts the same antichain as a fresh matching (the
+        Koenig sets do not depend on the maximum matching).  Undo-logged
+        like :meth:`insert`.
+        """
+
+        n, closure = self._n, self._closure
+        changed_mask = 0
+        for i in changed:
+            changed_mask |= 1 << i
+        if self.cyclic:
+            affected = list(range(n))
+            affected_mask = (1 << n) - 1
+        elif not changed_mask:
+            return True
+        else:
+            affected = [
+                x for x in range(n)
+                if (changed_mask >> x) & 1 or closure[x] & changed_mask
+            ]
+            affected_mask = 0
+            for x in affected:
+                affected_mask |= 1 << x
+        before = [closure[x] for x in affected]
+        if not _close_members(rows, closure, affected, affected_mask):
+            self.cyclic = True
+            self._cached = None
+            return False
+        moved, self.cyclic = self.cyclic, False
+        log = self._frames[-1].closure_log if self._frames else None
+        match_l = self._match_l
+        for x, old in zip(affected, before):
+            if closure[x] == old:
+                continue
+            moved = True
+            if log is not None and x not in log:
+                log[x] = old
+            v = match_l[x]
+            if v != -1 and not (closure[x] >> v) & 1:
+                self._log_match(x, v)
+                match_l[x] = self._match_r[v] = -1
+                self._matched -= 1
+        if moved:
+            self._cached = None
+            self._stale = True
+        return True
+
     def push(self) -> None:
         """Open an undo frame covering every subsequent insert/repair."""
 
@@ -522,8 +596,8 @@ class PersistentAntichain:
         state onto a new killing function: the patch invalidates the sync
         history the frames belong to (they can never be popped again), but
         the running closure and the repaired matching stay valid and warm.
-        Without this, monotone patches would leave unpoppable frames
-        accumulating pre-change closure rows forever.
+        Without this, patches would leave unpoppable frames accumulating
+        pre-change closure rows forever.
         """
 
         self._frames.clear()
@@ -531,13 +605,16 @@ class PersistentAntichain:
     # ------------------------------------------------------------------ #
     # Matching repair + extraction
     # ------------------------------------------------------------------ #
-    def _set_match(self, u: int, v: int) -> None:
+    def _log_match(self, u: int, v: int) -> None:
         if self._frames:
             frame = self._frames[-1]
             if u not in frame.left_log:
                 frame.left_log[u] = self._match_l[u]
             if v not in frame.right_log:
                 frame.right_log[v] = self._match_r[v]
+
+    def _set_match(self, u: int, v: int) -> None:
+        self._log_match(u, v)
         self._match_l[u] = v
         self._match_r[v] = u
 

@@ -14,6 +14,10 @@ pinned here over random DAG populations:
 * the Dilworth duality ``|antichain| = n - |maximum matching|`` holds at
   every step, and a push/pop round trip restores the *exact* prior state
   (closure rows, matching arrays, cached antichain).
+
+Both claims also hold under :meth:`PersistentAntichain.replace_rows`, the
+update that swaps whole successor rows (shrinks included) when a
+candidate's killing function changes.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from repro.analysis.antichain import (
     PersistentAntichain,
     antichain_indices_from_rows,
     brute_force_maximum_antichain,
+    closure_from_rows,
     is_antichain,
     maximum_antichain,
 )
@@ -122,6 +127,116 @@ class TestMonotoneInsertion:
         engine = PersistentAntichain(0, rows=[])
         assert engine.antichain_indices() == []
         assert engine.cardinality() == 0
+
+
+def _random_forward_row(i, pos, perm, rng, density):
+    """A random successor row of *i* that respects the order *perm*."""
+
+    row = 0
+    for j in perm[pos[i] + 1:]:
+        if rng.random() < density:
+            row |= 1 << j
+    return row
+
+
+def _check_against_reference(engine, rows, label):
+    n = len(rows)
+    closure = closure_from_rows(rows)
+    assert [engine.closure_row(i) for i in range(n)] == closure, label
+    reference = antichain_indices_from_rows(rows)
+    assert engine.antichain_indices() == reference, label
+    match_l, match_r = engine.matching()
+    matched = [(u, v) for u, v in enumerate(match_l) if v != -1]
+    # A valid matching of the split graph of the new closure ...
+    assert all((closure[u] >> v) & 1 and match_r[v] == u for u, v in matched), label
+    # ... and a maximum one (Dilworth: width = n - |maximum matching|).
+    assert engine.cardinality() == n - len(matched) == len(reference), label
+
+
+class TestRowReplacement:
+    """`replace_rows` against the from-scratch closure and antichain."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_identical_to_from_scratch_after_every_replacement(self, seed):
+        rng = random.Random(2000 + seed)
+        n = rng.randint(2, 40)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        pos = {v: i for i, v in enumerate(perm)}
+        density = rng.choice((0.1, 0.25, 0.5))
+        rows = [_random_forward_row(i, pos, perm, rng, density) for i in range(n)]
+        engine = PersistentAntichain(n, rows=list(rows))
+        _check_against_reference(engine, rows, f"seed {seed} seed rows")
+        shrinks = grows = 0
+        for step in range(30):
+            new_rows = list(rows)
+            changed = rng.sample(range(n), rng.randint(1, max(1, n // 4)))
+            for i in changed:
+                new_rows[i] = _random_forward_row(i, pos, perm, rng, rng.random() * 0.6)
+            shrinks += any(old & ~new for old, new in zip(rows, new_rows))
+            grows += any(new & ~old for old, new in zip(rows, new_rows))
+            if rng.random() < 0.3:
+                engine.antichain_indices()  # a warm matching to keep or drop
+            assert engine.replace_rows(new_rows, changed)
+            rows = new_rows
+            _check_against_reference(engine, rows, f"seed {seed} step {step}")
+        assert shrinks and grows
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_push_pop_round_trip(self, seed):
+        rng = random.Random(3000 + seed)
+        n = rng.randint(4, 24)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        pos = {v: i for i, v in enumerate(perm)}
+        rows = [_random_forward_row(i, pos, perm, rng, 0.3) for i in range(n)]
+        engine = PersistentAntichain(n, rows=list(rows))
+        before_closure = [engine.closure_row(i) for i in range(n)]
+        before_matching = engine.matching()
+        before_antichain = engine.antichain_indices()
+        engine.push()
+        for _ in range(5):
+            changed = rng.sample(range(n), 3)
+            for i in changed:
+                rows[i] = _random_forward_row(i, pos, perm, rng, 0.4)
+            engine.replace_rows(list(rows), changed)
+            engine.antichain_indices()
+        engine.pop()
+        assert [engine.closure_row(i) for i in range(n)] == before_closure
+        assert engine.matching() == before_matching
+        assert engine.antichain_indices() == before_antichain
+
+    def test_cycle_then_recovery(self):
+        n = 12
+        rows = [0] * n
+        for i in range(n - 1):
+            rows[i] = 1 << (i + 1)  # the chain 0 < 1 < ... < n-1
+        rows[3] |= 1 << 9
+        engine = PersistentAntichain(n, rows=list(rows))
+        assert engine.antichain_indices() == antichain_indices_from_rows(rows)
+        # 8 -> 2 closes the cycle 2 < 3 < ... < 8 < 2.
+        cyclic = list(rows)
+        cyclic[8] |= 1 << 2
+        assert not engine.replace_rows(cyclic, [8])
+        assert engine.cyclic
+        assert engine.antichain_indices() is None
+        assert engine.cardinality() is None
+        assert not engine.insert(0, 5)
+        # Dropping the back arc, and rewriting two more rows, recovers it.
+        recovered = list(rows)
+        recovered[3] = 0
+        recovered[5] = 1 << 11
+        assert engine.replace_rows(recovered, [3, 5, 8])
+        assert not engine.cyclic
+        _check_against_reference(engine, recovered, "recovered")
+
+    def test_cycle_among_changed_rows_only(self):
+        engine = PersistentAntichain(4, rows=[0b0010, 0, 0b1000, 0])  # 0<1, 2<3
+        # 1 -> 0 closes a two-cycle among the replaced row and its ancestor.
+        assert not engine.replace_rows([0b0010, 0b0001, 0b1000, 0], [1])
+        assert engine.cyclic
+        assert engine.replace_rows([0b0010, 0b0100, 0b1000, 0], [1])
+        _check_against_reference(engine, [0b0010, 0b0100, 0b1000, 0], "chain")
 
 
 class TestPushPop:

@@ -6,8 +6,8 @@ path it replaced:
 
 * ``_CandidateDVState.patch`` re-targets a warm killed-graph mirror onto a
   changed killing function by rewriting only the killing-arc slots that
-  moved -- the patched killed graph, DV rows and extracted antichain must
-  equal a full :meth:`rebuild`'s;
+  moved, then replays the deferred pushes -- the patched killed graph, DV
+  rows and extracted antichain must equal a full :meth:`rebuild`'s;
 * the session's pair-verdict worklist re-uses ``consider`` verdicts for
   pairs untouched by the applied serialization -- every (possibly cached)
   verdict must equal a cold session's on the same graph.
@@ -127,6 +127,11 @@ class TestCandidatePatchEqualsRebuild:
         assert stats["dv_patches"] > 0
         assert stats["dv_reuses"] > 0
         assert session.stats["pair_verdicts_reused"] > 0
+        # A changed killing function is re-targeted before the deferred
+        # pushes are replayed, so only the two cold candidates are built
+        # from scratch.  Replaying first made the old function cyclic, and
+        # forced a rebuild, 9 more times on this run.
+        assert stats["dv_rebuilds"] == 2
 
     def test_patch_after_explicit_push_matches_rebuild(self):
         """Patching across session pushes (synced killed mirrors) stays exact."""

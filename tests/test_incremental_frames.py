@@ -9,7 +9,9 @@ against a direct evaluation on the current graph: longest paths as the
 fixpoint of ``dist[v] = max(dist[u] + w)`` over all arcs, reachability by
 explicit DFS.  The same contract is then checked one level up, through
 ``ReductionSession.reset_to_depth``, and on the statistics a reduction run
-reports.
+reports.  A candidate patch rewrites killed-mirror arcs outside push/pop;
+its flat adjacency and topological order are checked after every patch of
+a driven reduction loop.
 """
 
 from __future__ import annotations
@@ -20,13 +22,15 @@ import pytest
 
 from repro.analysis import flatbuf, graphalgo
 from repro.analysis.context import context_for
-from repro.codes.generator import layered_random_ddg
+from repro.codes.generator import layered_random_ddg, random_superblock
 from repro.codes.suite import kernel_suite
 from repro.core.graph import DDG, Edge
 from repro.core.types import INT, DependenceKind
 from repro.reduction import ReductionSession, reduce_saturation_heuristic
+from repro.reduction.heuristic import _HeuristicLoop, _SessionDriver
+from repro.reduction.serialization import SerializationMode
 from repro.saturation import greedy_saturation
-from repro.saturation.incremental import IncrementalAnalysis
+from repro.saturation.incremental import IncrementalAnalysis, _CandidateDVState
 
 NEG_INF = flatbuf.NEG_INF
 
@@ -182,6 +186,68 @@ class TestRandomInterleavings:
             pos = {nid: i for i, nid in enumerate(order)}
             for e in g.edges():
                 assert pos[iid(e.src)] < pos[iid(e.dst)], f"{label}: {e}"
+
+
+class TestCandidatePatchSurgery:
+    """A patch keeps the killed mirror's adjacency and order in place, exactly."""
+
+    @staticmethod
+    def _check(analysis: IncrementalAnalysis, seen) -> None:
+        g = analysis.ddg
+        iid = analysis.op_id
+        n = analysis.interner.size
+        assert analysis._adj_version == g.version
+        rebuilt = [[] for _ in range(n)]
+        for e in g.edges():
+            rebuilt[iid(e.src)].append((iid(e.dst), e.latency))
+        assert [sorted(p) for p in analysis._adj] == [sorted(p) for p in rebuilt]
+        if analysis._topo_version == g.version:
+            seen["fresh_orders"] += 1
+            order = analysis._topo_ids
+            assert sorted(order) == list(range(n))
+            pos = {nid: i for i, nid in enumerate(order)}
+            for e in g.edges():
+                assert pos[iid(e.src)] < pos[iid(e.dst)], e
+
+    @pytest.mark.parametrize(
+        "ddg, budget",
+        [
+            (random_superblock(operations=60, seed=3), 6),
+            (layered_random_ddg(nodes=20, layers=4, seed=7), 3),
+            (layered_random_ddg(nodes=24, layers=5, seed=11), 3),
+        ],
+        ids=["sb60-s3", "layered20-s7", "layered24-s11"],
+    )
+    def test_adjacency_and_order_after_every_patch(self, monkeypatch, ddg, budget):
+        seen = {"patches": 0, "fresh_orders": 0, "adj_rebuilds": 0}
+        inside = []
+        adj_pairs = IncrementalAnalysis._adj_pairs
+        patch = _CandidateDVState.patch
+
+        def counting_adj_pairs(analysis):
+            # A built adjacency gone stale would be rebuilt from the graph.
+            if inside and analysis._adj_version not in (-1, analysis.ddg.version):
+                seen["adj_rebuilds"] += 1
+            return adj_pairs(analysis)
+
+        def checked_patch(state, bottom_ddg, kf, pk):
+            inside.append(state)
+            try:
+                patched = patch(state, bottom_ddg, kf, pk)
+            finally:
+                inside.pop()
+            if patched and not state.cyclic:
+                seen["patches"] += 1
+                self._check(state.analysis, seen)
+            return patched
+
+        monkeypatch.setattr(IncrementalAnalysis, "_adj_pairs", counting_adj_pairs)
+        monkeypatch.setattr(_CandidateDVState, "patch", checked_patch)
+        driver = _SessionDriver(ddg.copy(), INT, SerializationMode.OFFSETS, True)
+        _HeuristicLoop(driver, 500).run_to(driver.saturation(), budget)
+        assert seen["patches"] > 0 and seen["fresh_orders"] > 0
+        # The slot surgery maintained the adjacency instead of dropping it.
+        assert seen["adj_rebuilds"] == 0
 
 
 def _random_dag_ddg(rng: random.Random, n: int) -> DDG:
