@@ -184,14 +184,11 @@ class _SessionDriver:
         self.session.record_scan_time(seconds)
 
     def engine_details(self) -> Dict[str, object]:
-        cache = self.session.killing_set_cache
         return {
             "engine": "incremental",
             "engine_stats": {
                 **self.session.stats,
                 **self.session.saturation_stats,
-                "killing_set_hits": cache.hits,
-                "killing_set_misses": cache.misses,
                 # Monotonic per-stage wall-clock totals (seconds), keyed by
                 # engine stage; the benchmark's bottleneck profile and the
                 # CI artifact read these instead of caller-attributed

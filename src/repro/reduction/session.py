@@ -12,9 +12,9 @@ replaces that with a single working graph mutated in place:
   stale context caches can never leak), recording an undo frame;
 * :meth:`pop` restores the exact prior graph and analysis state;
 * between pushes, the structural analyses (descendant maps, longest-path
-  rows) and the saturation state (potential killers, killing-set choices,
-  killers' descendant values) are patched incrementally -- only the dirty
-  region around the new arcs' endpoints is recomputed (see
+  rows) and the saturation state (potential killers, killers' descendant
+  values, the candidate killing functions) are patched incrementally --
+  only the dirty region around the new arcs' endpoints is recomputed (see
   :mod:`repro.saturation.incremental` for the monotonicity argument);
 * candidate serializations are scored without any graph copy through the
   shared mini-DAG helpers of :mod:`repro.analysis.graphalgo`, and a cheap
@@ -65,23 +65,6 @@ def scan_floor(cp: int, base_cp: int) -> Tuple[int, int]:
     return (cp - base_cp, 1)
 
 
-class _KillingSetCache(dict):
-    """A dict counting its hits/misses (reported in the session stats)."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key, default=None):
-        value = super().get(key, default)
-        if value is default:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return value
-
-
 class ReductionSession:
     """Incremental engine behind the value-serialization reduction loop.
 
@@ -117,7 +100,6 @@ class ReductionSession:
             working, self.pruned = prune_redundant_serial_arcs(working)
         self._analysis = IncrementalAnalysis(working)
         self._saturation = IncrementalSaturation(self._analysis, self.rtype)
-        self._saturation.killing_set_cache = _KillingSetCache()
         # Flat pair keying: the saturation state already indexes the mirror's
         # values; an ordered pair becomes the small int `ui * n + vi`, so the
         # per-pair caches below hash machine ints instead of Value tuples on
@@ -676,10 +658,6 @@ class ReductionSession:
     # ------------------------------------------------------------------ #
     # Introspection (used by the undo-safety tests and the benchmarks)
     # ------------------------------------------------------------------ #
-    @property
-    def killing_set_cache(self) -> _KillingSetCache:
-        return self._saturation.killing_set_cache  # type: ignore[return-value]
-
     @property
     def saturation_stats(self) -> Dict[str, int]:
         """DV-DAG reuse counters of the warm saturation state."""

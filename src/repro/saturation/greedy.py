@@ -18,10 +18,10 @@ one register -- works on killing functions:
    function ``k``; build ``DV_k`` and return the size of its maximum
    antichain.
 
-Small components are solved exactly (exhaustive subset search); large ones
-greedily with a cover-ratio rule.  The implementation additionally evaluates
-the canonical (deepest potential killer) and the ASAP-induced killing
-functions and keeps the best antichain, which can only tighten the
+Small components are solved exactly (exhaustive bitmask subset search);
+large ones greedily with a cover-ratio rule.  The implementation additionally
+evaluates the canonical (deepest potential killer) and the ASAP-induced
+killing functions and keeps the best antichain, which can only tighten the
 approximation: every candidate is checked for validity, so every reported
 value is a true lower bound of the register saturation -- the paper's case
 ``RS < RS*`` is impossible.
@@ -29,9 +29,8 @@ value is a true lower bound of the register saturation -- the paper's case
 
 from __future__ import annotations
 
-import itertools
 import time
-from typing import Dict, FrozenSet, List, Mapping, MutableMapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..analysis.context import AnalysisContext, context_for
 from ..core.graph import DDG
@@ -48,7 +47,7 @@ from .pkill import (
 )
 from .result import SaturationResult
 
-__all__ = ["ComponentCache", "greedy_saturation", "greedy_killing_function"]
+__all__ = ["ChoiceCache", "ComponentCache", "greedy_saturation", "greedy_killing_function"]
 
 #: Components whose killer side is at most this large are solved exhaustively.
 _EXHAUSTIVE_COMPONENT_LIMIT = 10
@@ -106,14 +105,14 @@ class ComponentCache:
     scratch each time even though a push perturbs only the components near
     the new arcs' endpoints.  This cache keeps the previous decomposition
     and *repairs* it: the copy-on-write ``pk`` maintenance replaces the
-    killer-list object of exactly the dirty values (and pops restore the
-    old objects), so ``pk[v] is cached_row`` identifies the clean values
-    without comparing content.  Components containing a dirty value -- or a
-    killer appearing in a dirty value's new list, which could link it into
-    an existing component -- are dissolved and re-decomposed from the freed
-    sub-relation; everything else is returned as the identical list
-    objects, which also keeps `_signature_entry_matches`'s identity fast
-    path hot.
+    killer-list object of exactly the values whose potential killers
+    changed (and pops restore the old objects), so ``pk[v] is cached_row``
+    identifies the clean values without comparing content.  Components
+    containing a dirty value -- or a killer appearing in a dirty value's new
+    list, which could link it into an existing component -- are dissolved
+    and re-decomposed from the freed sub-relation; everything else is
+    returned as the identical list objects, which also keeps
+    :class:`ChoiceCache`'s identity check hot.
 
     One dissolution round suffices: a kept component's values all have
     unchanged killer lists, and any killer that could connect a freed value
@@ -225,14 +224,52 @@ def _descendant_values(
     return frozenset(desc[killer] & value_nodes)
 
 
-def _cover_cost(
-    killers: Sequence[str],
+def _exhaustive_killing_set(
+    comp_values: Sequence[Value],
+    comp_killers: Sequence[str],
+    pk: Mapping[Value, List[str]],
     desc_values: Mapping[str, FrozenSet[str]],
-) -> int:
-    union: Set[str] = set()
-    for killer in killers:
-        union |= desc_values[killer]
-    return len(union)
+) -> List[str]:
+    """The covering subset of least ``(drag, size)``, first in combinations order.
+
+    Subsets are bitmasks over the killers, with killer ``i`` at bit
+    ``n - 1 - i``: among subsets of one size, a larger mask is then an
+    earlier ``itertools.combinations`` tuple, so the ``(cost, size, -mask)``
+    minimum is the subset the size-by-size combinations scan keeps.  Each
+    mask's cover (component values it kills) and drag (descendant values
+    it orders after the component) is its value without its lowest bit,
+    ORed with that bit's killer, so every subset costs a few int ops.
+    """
+
+    n = len(comp_killers)
+    pos = {k: n - 1 - i for i, k in enumerate(comp_killers)}
+    cover_of = [0] * n
+    drag_of = [0] * n
+    for j, value in enumerate(comp_values):
+        for killer in pk[value]:
+            cover_of[pos[killer]] |= 1 << j
+    drag_index: Dict[str, int] = {}
+    for killer, p in pos.items():
+        for name in desc_values[killer]:
+            drag_of[p] |= 1 << drag_index.setdefault(name, len(drag_index))
+    full = (1 << len(comp_values)) - 1
+    cover = [0] * (1 << n)
+    drag = [0] * (1 << n)
+    best: Optional[Tuple[int, int, int]] = None
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        i = low.bit_length() - 1
+        c = cover[mask] = cover[mask ^ low] | cover_of[i]
+        d = drag[mask] = drag[mask ^ low] | drag_of[i]
+        if c == full:
+            key = (d.bit_count(), mask.bit_count(), -mask)
+            if best is None or key < best:
+                best = key
+    if best is None:  # every component value has a potential killer in it
+        raise RuntimeError(
+            f"no killing set covers the values {[str(v) for v in comp_values]}"
+        )
+    return [k for k in comp_killers if -best[2] >> pos[k] & 1]
 
 
 def _choose_killing_set(
@@ -244,28 +281,16 @@ def _choose_killing_set(
     """Choose killers covering every value of the component with minimal drag.
 
     Exhaustive when the killer side is small, greedy (max newly covered
-    values per newly dragged descendant) otherwise.
+    values per newly dragged descendant) otherwise.  A lone killer covers
+    its whole component.
     """
 
-    needed = list(comp_values)
+    if len(comp_killers) == 1:
+        return [comp_killers[0]]
     if len(comp_killers) <= _EXHAUSTIVE_COMPONENT_LIMIT:
-        best: Optional[List[str]] = None
-        best_cost = None
-        for size in range(1, len(comp_killers) + 1):
-            for subset in itertools.combinations(comp_killers, size):
-                chosen = set(subset)
-                if all(any(k in chosen for k in pk[v]) for v in needed):
-                    cost = (_cover_cost(subset, desc_values), size)
-                    if best_cost is None or cost < best_cost:
-                        best_cost = cost
-                        best = list(subset)
-        if best is None:  # every component value has a potential killer in it
-            raise RuntimeError(
-                f"no killing set covers the values {[str(v) for v in needed]}"
-            )
-        return best
+        return _exhaustive_killing_set(comp_values, comp_killers, pk, desc_values)
 
-    uncovered = set(needed)
+    uncovered = set(comp_values)
     chosen: List[str] = []
     dragged: Set[str] = set()
     while uncovered:
@@ -283,146 +308,127 @@ def _choose_killing_set(
     return chosen
 
 
-def _component_signature(
+def _component_assignment(
     comp_values: Sequence[Value],
     comp_killers: Sequence[str],
     pk: Mapping[Value, List[str]],
     desc_values: Mapping[str, FrozenSet[str]],
-) -> Tuple:
-    """A hashable fingerprint of everything `_choose_killing_set` reads.
+) -> Dict[Value, str]:
+    """Each value of one component mapped to its killer from the chosen set."""
 
-    Two components with equal signatures provably receive the same killing
-    set (the choice is a pure function of these inputs), which is what lets
-    the reduction session reuse choices across iterations: serial arcs only
-    perturb components near their endpoints, so most signatures repeat.
-    """
-
-    return (
-        tuple(comp_values),
-        tuple(comp_killers),
-        tuple(tuple(pk[v]) for v in comp_values),
-        tuple(desc_values[k] for k in comp_killers),
-    )
+    chosen = set(_choose_killing_set(comp_values, comp_killers, pk, desc_values))
+    # Among the chosen killers able to kill a value, prefer the one dragging
+    # the fewest descendants (ties broken by name).
+    return {
+        value: min(
+            (k for k in pk[value] if k in chosen),
+            key=lambda k: (len(desc_values[k]), k),
+        )
+        for value in comp_values
+    }
 
 
-def _signature_entry_matches(
-    entry: Tuple,
-    comp_values: Sequence[Value],
-    comp_killers: Sequence[str],
-    pk: Mapping[Value, List[str]],
-    desc_values: Mapping[str, FrozenSet[str]],
-) -> bool:
-    """Identity-validated equality of a component against a cached entry.
+class ChoiceCache:
+    """Each component's killer assignment, reused while its inputs stand.
 
-    The incremental engine maintains ``pk`` and the killer-descendant sets
-    copy-on-write: an untouched component keeps the *same* row/set objects
-    across iterations (and gets the old objects back on pop), so object
+    A component's assignment is a pure function of its values' potential-
+    killer rows and its killers' descendant-value sets.  The incremental
+    engine keeps both identity-stable: a push replaces a value's row only
+    when its potential killers change, and a killer's set only when it
+    gains a value node, and a pop restores the previous objects.  So object
     identity of those inputs -- plus list equality of the component's
     values, which CPython resolves by pointer comparison for the shared
-    ``Value`` objects -- proves the full signature would be equal without
-    rebuilding and hashing it.  Only components in the push's dirty region
-    fail here and pay the `_component_signature` hash.  An identity miss on
-    equal content is merely a slow path, never an error.
+    ``Value`` objects -- proves the stored assignment still holds, without
+    rebuilding or hashing any content.  An identity miss on equal content
+    only costs a re-choice, never a wrong answer.  ``hits`` counts reused
+    components and ``misses`` re-chosen ones.
     """
 
-    cached_values, cached_pk, cached_desc, _ = entry
-    if cached_values != comp_values:
-        return False
-    for v, row in zip(comp_values, cached_pk):
-        if pk[v] is not row:
+    def __init__(self) -> None:
+        #: killer tuple -> (values, their pk rows, killer sets, assignment)
+        self._entries: Dict[Tuple[str, ...], Tuple] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def assignment(
+        self,
+        comp_values: List[Value],
+        comp_killers: List[str],
+        pk: Mapping[Value, List[str]],
+        desc_values: Mapping[str, FrozenSet[str]],
+    ) -> Dict[Value, str]:
+        key = tuple(comp_killers)
+        entry = self._entries.get(key)
+        if entry is not None and self._matches(entry, comp_values, comp_killers, pk, desc_values):
+            self.hits += 1
+            return entry[3]
+        self.misses += 1
+        assignment = _component_assignment(comp_values, comp_killers, pk, desc_values)
+        self._entries[key] = (
+            comp_values,
+            [pk[v] for v in comp_values],
+            [desc_values[k] for k in comp_killers],
+            assignment,
+        )
+        return assignment
+
+    @staticmethod
+    def _matches(entry, comp_values, comp_killers, pk, desc_values) -> bool:
+        values, rows, sets, _ = entry
+        if values != comp_values:
             return False
-    # comp_killers equality is implied by the cache key (the killer tuple).
-    for k, d in zip(comp_killers, cached_desc):
-        if desc_values[k] is not d:
-            return False
-    return True
+        for v, row in zip(comp_values, rows):
+            if pk[v] is not row:
+                return False
+        # comp_killers equality is implied by the key (the killer tuple).
+        for k, d in zip(comp_killers, sets):
+            if desc_values[k] is not d:
+                return False
+        return True
+
+
+def _killing_mapping(
+    components: Sequence[Tuple[List[Value], List[str]]],
+    pk: Mapping[Value, List[str]],
+    desc_values: Mapping[str, FrozenSet[str]],
+    choices: Optional[ChoiceCache] = None,
+) -> Dict[Value, str]:
+    """The Greedy-k killing function's mapping, component by component.
+
+    *choices* reuses the assignments of components whose inputs are
+    unchanged since the previous call (the incremental engine's path); it
+    never changes the result.
+    """
+
+    mapping: Dict[Value, str] = {}
+    for comp_values, comp_killers in components:
+        if choices is None:
+            mapping.update(_component_assignment(comp_values, comp_killers, pk, desc_values))
+        else:
+            mapping.update(choices.assignment(comp_values, comp_killers, pk, desc_values))
+    return mapping
 
 
 def greedy_killing_function(
     ddg: DDG,
     rtype: RegisterType | str,
     ctx: Optional[AnalysisContext] = None,
-    killing_set_cache: Optional[MutableMapping] = None,
-    signature_cache: Optional[MutableMapping] = None,
-    component_cache: Optional[ComponentCache] = None,
 ) -> KillingFunction:
-    """The killing function selected by the Greedy-k heuristic (before fallback).
-
-    *killing_set_cache* is an optional mapping from component signatures to
-    chosen killing sets; it never changes the result (the choice is a pure
-    function of the signature) but lets the incremental reduction engine
-    skip the exhaustive subset search for components untouched by the last
-    serialization.  *signature_cache* is an optional identity-validated
-    front cache over it (see :func:`_signature_entry_matches`) that also
-    skips building and hashing the signature tuples for clean components --
-    hashing work then scales with the push's dirty region instead of with
-    the component count.  *component_cache* is an optional
-    :class:`ComponentCache` replacing the from-scratch bipartite
-    decomposition with a dirty-region repair of the previous iteration's;
-    like the other two it only affects speed, never the result.
-    """
+    """The killing function selected by the Greedy-k heuristic (before fallback)."""
 
     rtype = canonical_type(rtype)
     ctx = ctx if ctx is not None else context_for(ddg)
     pk = potential_killers_map(ddg, rtype, ctx)
     desc = ctx.descendants_map(include_self=False)
     value_nodes = {v.node for v in pk}
-
-    def compute_desc_values() -> Dict[str, FrozenSet[str]]:
-        return {
-            killer: _descendant_values(desc, killer, value_nodes)
-            for killers in pk.values()
-            for killer in killers
-        }
-
-    # Memoized on the context so the incremental engine can inject the
-    # dirty-region-patched sets instead of rebuilding every frozenset.
-    desc_values = ctx.memo(("killer_desc_values", rtype), compute_desc_values)
-
-    if component_cache is not None:
-        components = component_cache.decompose(pk)
-    else:
-        components = _bipartite_components(pk)
-    mapping: Dict[Value, str] = {}
-    for comp_values, comp_killers in components:
-        killing_set = None
-        ckey: Optional[Tuple[str, ...]] = None
-        if signature_cache is not None:
-            ckey = tuple(comp_killers)
-            entry = signature_cache.get(ckey)
-            if entry is not None and _signature_entry_matches(
-                entry, comp_values, comp_killers, pk, desc_values
-            ):
-                killing_set = entry[3]
-        if killing_set is None:
-            if killing_set_cache is not None:
-                signature = _component_signature(
-                    comp_values, comp_killers, pk, desc_values
-                )
-                killing_set = killing_set_cache.get(signature)
-                if killing_set is None:
-                    killing_set = _choose_killing_set(
-                        comp_values, comp_killers, pk, desc_values
-                    )
-                    killing_set_cache[signature] = killing_set
-            else:
-                killing_set = _choose_killing_set(
-                    comp_values, comp_killers, pk, desc_values
-                )
-            if signature_cache is not None:
-                signature_cache[ckey] = (
-                    comp_values,
-                    [pk[v] for v in comp_values],
-                    [desc_values[k] for k in comp_killers],
-                    killing_set,
-                )
-        killing_set_set = set(killing_set)
-        for value in comp_values:
-            candidates = [k for k in pk[value] if k in killing_set_set]
-            # Among the chosen killers able to kill this value, prefer the one
-            # dragging the fewest descendants (ties broken by name).
-            mapping[value] = min(candidates, key=lambda k: (len(desc_values[k]), k))
-    return KillingFunction(rtype, mapping)
+    desc_values = {
+        killer: _descendant_values(desc, killer, value_nodes)
+        for killers in pk.values()
+        for killer in killers
+    }
+    return KillingFunction(
+        rtype, _killing_mapping(_bipartite_components(pk), pk, desc_values)
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -433,10 +439,8 @@ def greedy_saturation(
     rtype: RegisterType | str,
     extra_candidates: bool = True,
     ctx: Optional[AnalysisContext] = None,
-    killing_set_cache: Optional[MutableMapping] = None,
     candidate_evaluator=None,
-    signature_cache: Optional[MutableMapping] = None,
-    component_cache: Optional[ComponentCache] = None,
+    candidate_functions=None,
 ) -> SaturationResult:
     """Approximate the register saturation ``RS_t(G)`` with the Greedy-k heuristic.
 
@@ -458,11 +462,6 @@ def greedy_saturation(
         *ddg*.  The final result is memoized on it, so the pipeline stages
         and the reduction pass asking for the same saturation pay for one
         computation.
-    killing_set_cache:
-        Optional cross-iteration cache of killing-set choices keyed by
-        bipartite-component signature (see
-        :class:`~repro.saturation.incremental.IncrementalSaturation`).  It
-        only affects speed, never the result.
     candidate_evaluator:
         Optional ``(label, killing_function) -> antichain | None`` hook that
         replaces the killed-graph construction + DV-DAG + antichain per
@@ -470,13 +469,14 @@ def greedy_saturation(
         killed graph).  The incremental reduction engine supplies its warm
         per-candidate DV states here; the hook must return exactly what the
         built-in path would.
-    signature_cache:
-        Optional identity-validated front cache over *killing_set_cache*
-        (see :func:`greedy_killing_function`); speed only, never the result.
-    component_cache:
-        Optional :class:`ComponentCache` repairing the previous iteration's
-        bipartite decomposition instead of rebuilding it; speed only, never
-        the result.
+    candidate_functions:
+        Optional ``extra_candidates -> [(label, killing_function), ...]``
+        hook that replaces building the candidate killing functions of the
+        bottom-normalised graph: ``greedy-k``, then, with
+        *extra_candidates*, ``canonical`` and ``asap-induced``.  The
+        incremental reduction engine supplies its warm functions here
+        (:meth:`~repro.saturation.incremental.IncrementalSaturation.candidate_functions`);
+        the hook must return exactly what the built-in path would.
 
     Returns
     -------
@@ -496,14 +496,12 @@ def greedy_saturation(
             rtype,
             extra_candidates,
             ctx,
-            killing_set_cache,
             candidate_evaluator,
-            signature_cache,
-            component_cache,
+            candidate_functions,
         ),
         # Cross-run tier (inert unless a result store is active): the result
         # is a deterministic function of graph content + these parameters --
-        # the caches/evaluator hooks only affect speed, never the result.
+        # the hooks only affect speed, never the result.
         persist=(
             "saturation.greedy",
             {"rtype": rtype.name, "extra_candidates": extra_candidates},
@@ -516,10 +514,8 @@ def _greedy_saturation_uncached(
     rtype: RegisterType,
     extra_candidates: bool,
     ctx: AnalysisContext,
-    killing_set_cache: Optional[MutableMapping] = None,
     candidate_evaluator=None,
-    signature_cache: Optional[MutableMapping] = None,
-    component_cache: Optional[ComponentCache] = None,
+    candidate_functions=None,
 ) -> SaturationResult:
     start = time.perf_counter()
     bottom_ctx = ctx.bottom()
@@ -529,23 +525,16 @@ def _greedy_saturation_uncached(
     if not pk_map:
         return SaturationResult(rtype, 0, method="greedy-k", wall_time=time.perf_counter() - start)
 
-    candidates: List[Tuple[str, KillingFunction]] = []
-    greedy_kf = greedy_killing_function(
-        g,
-        rtype,
-        ctx=bottom_ctx,
-        killing_set_cache=killing_set_cache,
-        signature_cache=signature_cache,
-        component_cache=component_cache,
-    )
-    candidates.append(("greedy-k", greedy_kf))
-    if extra_candidates:
-        candidates.append(
-            ("canonical", canonical_killing_function(g, rtype))
-        )
-        candidates.append(
-            ("asap-induced", killing_function_from_schedule(g, asap_schedule(g), rtype))
-        )
+    candidates: List[Tuple[str, KillingFunction]]
+    if candidate_functions is not None:
+        candidates = candidate_functions(extra_candidates)
+    else:
+        candidates = [("greedy-k", greedy_killing_function(g, rtype, ctx=bottom_ctx))]
+        if extra_candidates:
+            candidates.append(("canonical", canonical_killing_function(g, rtype)))
+            candidates.append(
+                ("asap-induced", killing_function_from_schedule(g, asap_schedule(g), rtype))
+            )
 
     best_rs = -1
     best_antichain: List[Value] = []

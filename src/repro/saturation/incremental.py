@@ -99,6 +99,8 @@ class _AnalysisFrame:
     #: The pre-push ASAP dict (None when ASAP is not tracked); each push
     #: relaxes a copy, so pop restores this one by reference.
     asap: Optional[Dict[str, int]] = None
+    #: The nodes whose ASAP time this push raised.
+    asap_moved: Set[str] = field(default_factory=set)
 
 
 class IncrementalAnalysis:
@@ -531,18 +533,20 @@ class IncrementalAnalysis:
             )
 
         if self._asap is not None and frame.records:
-            self._asap = self._relaxed_asap(frame.records)
+            self._asap, frame.asap_moved = self._relaxed_asap(frame.records)
         self._frames.append(frame)
         self._inject()
         return frame
 
-    def _relaxed_asap(self, records: List[_AppliedArc]) -> Dict[str, int]:
+    def _relaxed_asap(
+        self, records: List[_AppliedArc]
+    ) -> Tuple[Dict[str, int], Set[str]]:
         """A copy of the ASAP dict relaxed forward over freshly applied arcs.
 
         Adding arcs only lengthens longest paths, so a monotone worklist
         relaxation from the arcs' destinations reaches the full recompute's
         times exactly (same integer arithmetic) while touching only the
-        region below the arcs.
+        region below the arcs.  Also returns the nodes whose time moved.
         """
 
         g = self._g
@@ -554,6 +558,7 @@ class IncrementalAnalysis:
             if cand > asap[edge.dst]:
                 asap[edge.dst] = cand
                 queue.append(edge.dst)
+        moved = set(queue)
         while queue:
             v = queue.pop()
             base = asap[v]
@@ -562,7 +567,8 @@ class IncrementalAnalysis:
                 if cand > asap[edge.dst]:
                     asap[edge.dst] = cand
                     queue.append(edge.dst)
-        return asap
+                    moved.add(edge.dst)
+        return asap, moved
 
     def pop(self) -> None:
         """Undo the most recent :meth:`push`, restoring graph and analyses."""
@@ -1139,20 +1145,32 @@ class IncrementalSaturation:
 
     Owns the bottom-normalised mirror of a working graph (built once and
     mutated in lock-step, instead of re-deriving ``G ∪ {⊥}`` per iteration)
-    plus the saturation-specific analyses: the potential-killers map, the
-    killers' descendant-value sets, a cross-iteration cache of killing sets
-    keyed by bipartite-component signature (with an identity-validated
-    per-component fast path, see ``signature_cache``), one warm
-    :class:`_CandidateDVState` per Greedy-k candidate label (synced lazily
-    on evaluation; when its killing function drifts,
-    :meth:`_CandidateDVState.patch` re-targets it and then replays the
-    deferred pushes, so it is built from scratch only while cold or while
-    its cached killing function is cyclic).
-    After every push only the dirty region -- values/killers reachable from
-    the new arcs' endpoints -- is recomputed; the rest is shared with the
-    previous iteration.  ``stats`` counts the warm-path hits and
-    ``timings`` accumulates monotonic per-stage wall clock, both surfaced in
-    ``ReductionResult.details["engine_stats"]``.
+    plus the saturation-specific analyses, each patched only where a push
+    changed it and restored by reference on pop:
+
+    * the potential-killers map: a value's row is replaced only when its
+      potential killers change;
+    * the killers' descendant-value sets: a killer's set is replaced only
+      when it gains a value node, which happens only to ancestors of a
+      pushed arc's source;
+    * Greedy-k's killing function: the bipartite components are repaired
+      (:class:`~repro.saturation.greedy.ComponentCache`), and a component
+      whose pk rows and killer sets are the same objects as last time
+      reuses its whole killer assignment
+      (:class:`~repro.saturation.greedy.ChoiceCache`); only changed
+      components run the subset search again;
+    * the ``canonical`` and ``asap-induced`` killing functions: a value is
+      re-chosen only when its pk row changed or one of its potential
+      killers' ASAP times moved.
+
+    :meth:`candidate_functions` hands the three candidate functions to
+    Greedy-k, and one warm :class:`_CandidateDVState` per candidate label
+    evaluates them (synced lazily on evaluation; when its killing function
+    drifts, :meth:`_CandidateDVState.patch` re-targets it and then replays
+    the deferred pushes, so it is built from scratch only while cold or
+    while its cached killing function is cyclic).  ``stats`` counts the
+    warm-path hits and ``timings`` accumulates monotonic per-stage wall
+    clock, both surfaced in ``ReductionResult.details["engine_stats"]``.
     """
 
     def __init__(self, analysis: IncrementalAnalysis, rtype: RegisterType | str) -> None:
@@ -1167,22 +1185,26 @@ class IncrementalSaturation:
         self._cons: Dict[Value, Tuple[str, ...]] = {}
         self._value_nodes: Set[str] = set()
         self._kdv: Optional[Dict[str, FrozenSet[str]]] = None
-        self._frames: List[Tuple[object, object]] = []
-        #: Component-signature -> chosen killing set; survives graph epochs
-        #: because identical components provably yield identical choices.
-        self.killing_set_cache: MutableMapping = {}
-        #: Per-component identity-validated front cache for the above
-        #: (killer-tuple keyed; validated by object identity of the pk rows
-        #: and killer-descendant sets, which the copy-on-write maintenance
-        #: preserves for untouched components).  See `greedy._choose_cached`.
-        self.signature_cache: Dict = {}
-        from .greedy import ComponentCache  # local: avoids import cycle
+        #: Potential killer -> the values it could kill in the initial pk.
+        #: Rows only shrink, so this stays a superset at every depth.
+        self._killer_values: Dict[str, List[Value]] = {}
+        #: Potential killer -> its read offset delta_r.
+        self._read: Dict[str, int] = {}
+        #: The ``canonical`` and ``asap-induced`` mappings, in pk order.
+        self._canonical: Dict[Value, str] = {}
+        self._induced: Dict[Value, str] = {}
+        self._frames: List[Tuple[object, ...]] = []
+        from .greedy import ChoiceCache, ComponentCache  # local: avoids import cycle
 
         #: Cross-iteration bipartite-component decomposition, repaired per
         #: push from the pk rows' object identity instead of rebuilt (see
         #: :class:`~repro.saturation.greedy.ComponentCache`); surfaces
         #: ``components_reused`` / the ``greedy_decompose`` timer below.
         self.component_cache = ComponentCache()
+        #: Per-component killer assignments, reused while the component's
+        #: inputs are the same objects; surfaces ``killing_set_hits`` and
+        #: ``killing_set_misses``.
+        self.choices = ChoiceCache()
         mirror = self._mirror.ddg
         self._values: Tuple[Value, ...] = tuple(sorted(mirror.values(self.rtype)))
         self._node_index: Dict[str, int] = {
@@ -1198,11 +1220,16 @@ class IncrementalSaturation:
             "dv_patches": 0,
             "dv_syncs_skipped": 0,
             "components_reused": 0,
+            "killing_set_hits": 0,
+            "killing_set_misses": 0,
         }
         #: Monotonic per-stage wall-clock accumulators (seconds), keyed by
         #: engine stage.  The benchmark's bottleneck profile reads these, so
         #: time is attributed to the stage that spent it rather than to
         #: whichever caller happened to trigger the computation.
+        #: ``killing_functions`` bills building and maintaining the
+        #: candidate killing functions, less the decomposition that
+        #: ``greedy_decompose`` bills.
         self.timings: Dict[str, float] = {
             "dv_rebuild": 0.0,
             "dv_patch": 0.0,
@@ -1210,6 +1237,7 @@ class IncrementalSaturation:
             "candidate_sync": 0.0,
             "analysis_push": 0.0,
             "greedy_decompose": 0.0,
+            "killing_functions": 0.0,
         }
 
     @property
@@ -1242,19 +1270,24 @@ class IncrementalSaturation:
             for killers in self._pk.values()
             for killer in killers
         }
+        for value, killers in self._pk.items():
+            for killer in killers:
+                self._killer_values.setdefault(killer, []).append(value)
+        self._read = {k: mirror.operation(k).delta_r for k in self._killer_values}
+        self._rechoose_fixed(self._pk)
 
-    def _update_after_push(self, records: List[_AppliedArc]) -> None:
+    def _update_after_push(self, records: List[_AppliedArc]) -> List[Value]:
+        """Patch pk and the killer sets; returns the values whose row changed."""
+
         from .pkill import potential_killers  # local: avoids import cycle
 
         if self._pk is None or self._kdv is None:
             raise RuntimeError("push bookkeeping before the potential killers were built")
         pk_old = self._pk
-        changed_nodes: Set[str] = set()
         dirty: Set[Value] = set()
         for record in records:
             if record.addition is None or record.ancestors is None:
                 continue
-            changed_nodes |= record.ancestors
             ancestors, addition = record.ancestors, record.addition
             for value, killers in pk_old.items():
                 if value in dirty or not killers:
@@ -1265,31 +1298,61 @@ class IncrementalSaturation:
                     c in addition for c in self._cons[value]
                 ):
                     dirty.add(value)
-        if not changed_nodes:
-            return
 
-        mirror = self._mirror.ddg
-        desc_incl = self._mirror.descendants_incl()
+        changed: List[Value] = []
         if dirty:
-            pk_new = dict(pk_old)
+            mirror = self._mirror.ddg
+            desc_incl = self._mirror.descendants_incl()
             for value in dirty:
-                pk_new[value] = potential_killers(
+                killers = potential_killers(
                     mirror, value, desc_incl, consumers=self._cons[value]
                 )
-            self._pk = pk_new
+                if killers != pk_old[value]:
+                    changed.append(value)
+                    if self._pk is pk_old:
+                        self._pk = dict(pk_old)
+                    self._pk[value] = killers
 
-        desc_excl = self._mirror.descendants_excl()
-        kdv_old, kdv_new = self._kdv, {}
-        for killers in self._pk.values():
-            for killer in killers:
-                if killer in kdv_new:
+        # A push grows desc(x) by exactly the arc's addition, and only for
+        # ancestors x of its source; a killer's set is replaced only when
+        # that brings in a value node, so every other killer keeps its
+        # object (which is what the component choices are validated by).
+        kdv = self._kdv
+        for record in records:
+            if record.addition is None or record.ancestors is None:
+                continue
+            gained = record.addition & self._value_nodes
+            if not gained:
+                continue
+            for x in record.ancestors:
+                old = kdv.get(x)
+                if old is None or gained <= old:
                     continue
-                previous = kdv_old.get(killer)
-                if previous is not None and killer not in changed_nodes:
-                    kdv_new[killer] = previous
-                else:
-                    kdv_new[killer] = frozenset(desc_excl[killer] & self._value_nodes)
-        self._kdv = kdv_new
+                if kdv is self._kdv:
+                    kdv = dict(kdv)
+                kdv[x] = old | gained
+        self._kdv = kdv
+        return changed
+
+    def _rechoose_fixed(self, values) -> None:
+        """Re-choose the ``canonical`` and ``asap-induced`` killers of *values*.
+
+        Like :func:`~repro.saturation.pkill.canonical_killing_function` and
+        :func:`~repro.saturation.pkill.killing_function_from_schedule` on
+        the ASAP schedule: the potential killer of largest ASAP time, or of
+        largest ASAP read time, ties broken by name.  The new mappings are
+        copies, so a pop restores the old ones; assigning into a copy keeps
+        pk order.
+        """
+
+        pk, asap, read = self._pk, self._mirror.asap_times(), self._read
+        canonical, induced = dict(self._canonical), dict(self._induced)
+        for value in values:
+            killers = pk[value]  # type: ignore[index]
+            if killers:
+                canonical[value] = max(killers, key=lambda k: (asap[k], k))
+                induced[value] = max(killers, key=lambda k: (asap[k] + read[k], k))
+        self._canonical, self._induced = canonical, induced
 
     # ------------------------------------------------------------------ #
     # Push / pop / query
@@ -1297,15 +1360,24 @@ class IncrementalSaturation:
     def push(self, edges) -> None:
         edges = list(edges)
         self._ensure_pk()
-        self._frames.append((self._pk, self._kdv))
+        self._frames.append((self._pk, self._kdv, self._canonical, self._induced))
         t0 = time.perf_counter()
         self._working.push(edges)
         if self._mirror is not self._working:
             frame = self._mirror.push(edges)
         else:
             frame = self._working._frames[-1]
-        self._update_after_push(frame.records)
-        self.timings["analysis_push"] += time.perf_counter() - t0
+        changed = self._update_after_push(frame.records)
+        t1 = time.perf_counter()
+        self.timings["analysis_push"] += t1 - t0
+        # Only a value whose row changed, or one of whose potential killers'
+        # ASAP time moved, can change its canonical or asap-induced killer.
+        stale = set(changed)
+        for node in frame.asap_moved:
+            stale.update(self._killer_values.get(node, ()))
+        if stale:
+            self._rechoose_fixed(stale)
+        self.timings["killing_functions"] += time.perf_counter() - t1
         # Candidate killed mirrors are synced lazily: the push is queued
         # here (O(1)) and mirrored only if/when the candidate is evaluated;
         # see _CandidateDVState.defer_sync.
@@ -1316,12 +1388,14 @@ class IncrementalSaturation:
     def pop(self) -> None:
         if not self._frames:
             raise IndexError("no pushed serialization frame to pop")
-        pk, kdv = self._frames.pop()
+        pk, kdv, canonical, induced = self._frames.pop()
         self._working.pop()
         if self._mirror is not self._working:
             self._mirror.pop()
         self._pk = pk  # type: ignore[assignment]
         self._kdv = kdv  # type: ignore[assignment]
+        self._canonical = canonical  # type: ignore[assignment]
+        self._induced = induced  # type: ignore[assignment]
         # Candidate DV states replay their per-push undo frame (killed
         # mirror, killer bits, persistent antichain engine) or just drop the
         # still-deferred push; a state rebuilt or patched deeper than the
@@ -1339,12 +1413,38 @@ class IncrementalSaturation:
     def _inject(self) -> None:
         mctx = context_for(self._mirror.ddg)
         if self._pk is not None:
-            pk, kdv = self._pk, self._kdv
+            pk = self._pk
             mctx.memo(("pkill", self.rtype), lambda: pk)
-            mctx.memo(("killer_desc_values", self.rtype), lambda: kdv)
         if self._mirror is not self._working:
             wctx = context_for(self._working.ddg)
             wctx.memo("bottom", lambda: mctx)
+
+    def candidate_functions(self, extra_candidates: bool = True):
+        """Greedy-k's candidate killing functions of the mirror, from warm state.
+
+        Equal, dict order included, to ``greedy_killing_function``,
+        ``canonical_killing_function`` and ``killing_function_from_schedule``
+        on the ASAP schedule of the current mirror; the
+        ``candidate_functions`` hook of
+        :func:`~repro.saturation.greedy.greedy_saturation`.
+        """
+
+        from .greedy import _killing_mapping  # local: avoids import cycle
+        from .pkill import KillingFunction
+
+        self._ensure_pk()
+        t0 = time.perf_counter()
+        decomposed = self.component_cache.seconds
+        pk, cache = self._pk, self.component_cache
+        mapping = _killing_mapping(cache.decompose(pk), pk, self._kdv, self.choices)
+        candidates = [("greedy-k", KillingFunction(self.rtype, mapping))]
+        if extra_candidates:
+            candidates.append(("canonical", KillingFunction(self.rtype, self._canonical)))
+            candidates.append(("asap-induced", KillingFunction(self.rtype, self._induced)))
+        self.timings["killing_functions"] += (
+            time.perf_counter() - t0 - (cache.seconds - decomposed)
+        )
+        return candidates
 
     def candidate_antichain(self, label: str, kf) -> Optional[List[Value]]:
         """Warm evaluation of one Greedy-k candidate killing function.
@@ -1405,19 +1505,18 @@ class IncrementalSaturation:
         from .greedy import greedy_saturation  # local: avoids import cycle
 
         self._inject()
-        cache = self.component_cache
         result = greedy_saturation(
             self._working.ddg,
             self.rtype,
             ctx=context_for(self._working.ddg),
-            killing_set_cache=self.killing_set_cache,
             candidate_evaluator=self.candidate_antichain,
-            signature_cache=self.signature_cache,
-            component_cache=cache,
+            candidate_functions=self.candidate_functions,
         )
-        # The cache's own accumulators are the source of truth (decompose
-        # runs inside greedy_killing_function); both are monotone, so the
-        # assignment keeps the stats/timings contract.
+        # The caches' own accumulators are the source of truth; all are
+        # monotone, so the assignment keeps the stats/timings contract.
+        cache, choices = self.component_cache, self.choices
         self.stats["components_reused"] = cache.reused
+        self.stats["killing_set_hits"] = choices.hits
+        self.stats["killing_set_misses"] = choices.misses
         self.timings["greedy_decompose"] = cache.seconds
         return result

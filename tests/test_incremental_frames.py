@@ -9,9 +9,13 @@ against a direct evaluation on the current graph: longest paths as the
 fixpoint of ``dist[v] = max(dist[u] + w)`` over all arcs, reachability by
 explicit DFS.  The same contract is then checked one level up, through
 ``ReductionSession.reset_to_depth``, and on the statistics a reduction run
-reports.  A candidate patch rewrites killed-mirror arcs outside push/pop;
-its flat adjacency and topological order are checked after every patch of
-a driven reduction loop.
+reports.  The saturation state on top (``IncrementalSaturation``) is
+checked the same way: after every push and pop its three candidate killing
+functions equal the from-scratch ones on a copy of the mirror, and every
+killer-descendant set and potential-killer row whose content did not change
+is still the same object.  A candidate patch rewrites killed-mirror arcs
+outside push/pop; its flat adjacency and topological order are checked
+after every patch of a driven reduction loop.
 """
 
 from __future__ import annotations
@@ -25,12 +29,19 @@ from repro.analysis.context import context_for
 from repro.codes.generator import layered_random_ddg, random_superblock
 from repro.codes.suite import kernel_suite
 from repro.core.graph import DDG, Edge
+from repro.core.schedule import asap_schedule
 from repro.core.types import INT, DependenceKind
 from repro.reduction import ReductionSession, reduce_saturation_heuristic
 from repro.reduction.heuristic import _HeuristicLoop, _SessionDriver
 from repro.reduction.serialization import SerializationMode
 from repro.saturation import greedy_saturation
-from repro.saturation.incremental import IncrementalAnalysis, _CandidateDVState
+from repro.saturation.greedy import greedy_killing_function
+from repro.saturation.incremental import (
+    IncrementalAnalysis,
+    IncrementalSaturation,
+    _CandidateDVState,
+)
+from repro.saturation.pkill import canonical_killing_function, killing_function_from_schedule
 
 NEG_INF = flatbuf.NEG_INF
 
@@ -156,6 +167,48 @@ class TestRandomInterleavings:
         assert _edge_set(analysis.ddg) == pristine
         for sid, row in analysis._lp_rows.items():
             assert row == _definition_row(analysis, sid), sid
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_saturation_state_matches_fresh_after_every_step(self, seed):
+        rng = random.Random(900 + seed)
+        ddg = layered_random_ddg(nodes=16 + seed, layers=4, seed=seed)
+        sat = IncrementalSaturation(IncrementalAnalysis(ddg.copy()), INT)
+        pool = _serial_arc_pool(ddg, rng)
+        sat.candidate_functions()
+        pushes = pops = 0
+        for step in range(40):
+            label = f"seed {seed} step {step}"
+            pk_before, kdv_before = sat._pk, sat._kdv
+            if rng.random() < 0.3 and sat._frames:
+                sat.pop()
+                pops += 1
+            else:
+                sat.push([pool[rng.randrange(len(pool))] for _ in range(rng.randint(1, 2))])
+                pushes += 1
+            # What a step did not change keeps its object.
+            for killer, values in sat._kdv.items():
+                if values == kdv_before[killer]:
+                    assert values is kdv_before[killer], f"{label} {killer}"
+            for value, row in sat._pk.items():
+                if row == pk_before[value]:
+                    assert row is pk_before[value], f"{label} {value}"
+
+            m = sat.mirror_ddg.copy()
+            value_nodes = {v.node for v in m.values(INT)}
+            for killers in sat._pk.values():
+                for killer in killers:
+                    below = _reachable_by_dfs(m, killer) - {killer}
+                    assert sat._kdv[killer] == below & value_nodes, label
+            fresh = [
+                ("greedy-k", greedy_killing_function(m, INT)),
+                ("canonical", canonical_killing_function(m, INT)),
+                ("asap-induced", killing_function_from_schedule(m, asap_schedule(m), INT)),
+            ]
+            assert [(name, list(kf.items())) for name, kf in sat.candidate_functions()] == [
+                (name, list(kf.items())) for name, kf in fresh
+            ], label
+        assert pushes >= 10 and pops >= 5
+        assert sat.choices.hits > 0 and sat.choices.misses > 0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_flat_adjacency_and_topo_order_stay_exact(self, seed):
@@ -336,7 +389,9 @@ class TestEngineStats:
         result = reduce_saturation_heuristic(ddg.copy(), rtype, budget, engine="incremental")
         stats = result.details["engine_stats"]
         assert stats["components_reused"] > 0
-        assert "greedy_decompose" in stats["stage_timings"]
+        assert stats["killing_set_hits"] > 0
+        assert stats["killing_set_misses"] > 0
+        assert {"greedy_decompose", "killing_functions"} <= set(stats["stage_timings"])
         removed = {
             "vector_backend",
             "vector_kernel_calls",

@@ -7,7 +7,9 @@ On small random DAGs and their reductions the chain
 must hold, the must-die-before order must be transitively closed, and every
 ``exact_saturation`` answer proven by bounds must equal the intLP and come
 with a witness schedule whose register need, recounted here from the raw
-arcs and offsets, is that answer.
+arcs and offsets, is that answer.  Every reduction of the population,
+successful or not, must keep the input arcs, leave an acyclic graph and
+report the critical path that its raw arcs give.
 """
 
 from __future__ import annotations
@@ -68,6 +70,28 @@ def _transitively_closed(later):
     return all(later[v] <= later[u] for u in later for v in later[u])
 
 
+def _kahn_asap(graph):
+    """ASAP issue times over the raw arcs, or None when they close a cycle."""
+
+    indegree = {name: 0 for name in graph.nodes()}
+    out = defaultdict(list)
+    for e in graph.edges():
+        indegree[e.dst] += 1
+        out[e.src].append((e.dst, e.latency))
+    ready = [name for name, d in indegree.items() if d == 0]
+    times = {name: 0 for name in indegree}
+    done = 0
+    while ready:
+        name = ready.pop()
+        done += 1
+        for dst, latency in out[name]:
+            times[dst] = max(times[dst], times[name] + latency)
+            indegree[dst] -= 1
+            if indegree[dst] == 0:
+                ready.append(dst)
+    return times if done == len(indegree) else None
+
+
 def _recounted_need(graph, times, rtype):
     """Register need of *times* on *graph*, from its arcs and offsets alone."""
 
@@ -118,6 +142,23 @@ def test_exact_equals_intlp_and_oracles(seed):
         upper = saturation_upper_bound(ddg.copy(), rtype)
         assert greedy <= intlp == oracle <= upper
         assert exact.rs == intlp
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_every_reduction_keeps_arcs_and_reports_its_critical_path(seed):
+    ddg = layered_random_ddg(nodes=11, layers=4, max_latency=3, seed=seed)
+    for rtype in ddg.register_types():
+        reduced = reduce_saturation_heuristic(ddg, rtype, REGISTERS)
+        extended = reduced.extended_ddg
+        strongest = defaultdict(lambda: float("-inf"))
+        for e in extended.edges():
+            key = (e.src, e.dst, e.kind, e.rtype)
+            strongest[key] = max(strongest[key], e.latency)
+        for e in ddg.edges():
+            assert strongest[(e.src, e.dst, e.kind, e.rtype)] >= e.latency, e
+        assert _kahn_asap(extended) is not None
+        times = _kahn_asap(extended.with_bottom())
+        assert reduced.critical_path_after == max(times.values())
 
 
 def test_figure2_proven_by_bounds(figure2):
