@@ -321,7 +321,8 @@ def mini_graph_remains_acyclic(edges, reach_lookup) -> bool:
     whose extra edges are the base reachability relation.
     ``reach_lookup(u)`` returns the base graph's strict descendant set of
     ``u``.  Shared by the context's ``remains_acyclic_with_edges`` and the
-    reduction session's warm legality check.
+    reduction session's warm legality check.  Kahn's algorithm sorts the
+    mini-graph; unlike a recursive search it leaves no garbage cycle.
     """
 
     edges = list(edges)
@@ -336,18 +337,20 @@ def mini_graph_remains_acyclic(edges, reach_lookup) -> bool:
         for v in nodes:
             if v != u and v in reach_u:
                 succ[u].add(v)
-    state: Dict[str, int] = {}
-
-    def has_cycle(x: str) -> bool:
-        state[x] = 1
+    indegree = dict.fromkeys(nodes, 0)
+    for targets in succ.values():
+        for y in targets:
+            indegree[y] += 1
+    ready = [x for x in nodes if not indegree[x]]
+    sorted_count = 0
+    while ready:
+        x = ready.pop()
+        sorted_count += 1
         for y in succ[x]:
-            s = state.get(y, 0)
-            if s == 1 or (s == 0 and has_cycle(y)):
-                return True
-        state[x] = 2
-        return False
-
-    return not any(state.get(x, 0) == 0 and has_cycle(x) for x in nodes)
+            indegree[y] -= 1
+            if not indegree[y]:
+                ready.append(y)
+    return sorted_count == len(nodes)
 
 
 def transitive_closure_of_relation(nodes, edges):

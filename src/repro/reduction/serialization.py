@@ -141,7 +141,7 @@ def serialization_implied(
 
     ``lp_lookup(node)`` must return the exact longest-path row from *node*
     (e.g. ``AnalysisContext.longest_paths_from`` or
-    ``ReductionSession.lp_row``).  ``reach_lookup(node)``, when given, must
+    ``IncrementalAnalysis.lp_row``).  ``reach_lookup(node)``, when given, must
     return the strict descendant set of *node*; it is used as a cheap screen
     (a reader with no path to the target can never have its arc implied)
     before the longest-path rows are touched.  Pairs with no serialization

@@ -7,19 +7,22 @@ iteration: ``ddg.copy()`` per applied serialization, a cold
 or three serial arcs of one value-serialization.  :class:`ReductionSession`
 replaces that with a single working graph mutated in place:
 
-* :meth:`push` applies serialization arcs to the working graph *and* its
-  bottom-normalised mirror (``DDG.version`` is bumped by the mutation, so
-  stale context caches can never leak), recording an undo frame;
+* :meth:`push` applies serialization arcs to the bottom-normalised mirror,
+  then adds the arcs the mirror applied to the working graph
+  (``DDG.version`` is bumped by the mutation, so stale context caches can
+  never leak), recording an undo frame;
 * :meth:`pop` restores the exact prior graph and analysis state;
-* between pushes, the structural analyses (descendant maps, longest-path
-  rows) and the saturation state (potential killers, killers' descendant
-  values, the candidate killing functions) are patched incrementally --
-  only the dirty region around the new arcs' endpoints is recomputed (see
-  :mod:`repro.saturation.incremental` for the monotonicity argument);
-* candidate serializations are scored without any graph copy through the
-  shared mini-DAG helpers of :mod:`repro.analysis.graphalgo`, and a cheap
-  reachability pre-filter (:meth:`implied`) rejects pairs whose ordering the
-  transitive closure already forces before ``legal_serialization`` is paid.
+* between pushes, the mirror's structural analyses (descendant maps,
+  longest-path rows, ASAP times; ⊥ only receives arcs, so they answer for
+  the working graph) and the saturation state (potential killers, killers'
+  descendant values, the candidate killing functions) are patched
+  incrementally -- only the dirty region around the new arcs' endpoints is
+  recomputed (see :mod:`repro.saturation.incremental`);
+* candidate serializations are scored without any graph copy, from per-pair
+  verdicts cached while a push cannot change them, and a cheap reachability
+  pre-filter (the :data:`ReductionSession.IMPLIED` verdict of
+  :meth:`consider`) rejects pairs whose ordering the transitive closure
+  already forces before any arc is built.
 
 The session produces results identical to the from-scratch loop (pinned by
 ``tests/test_reduction_incremental.py`` and asserted with byte-compared
@@ -35,7 +38,7 @@ from ..analysis.context import context_for
 from ..core.graph import DDG, Edge
 from ..core.types import BOTTOM, DependenceKind, RegisterType, Value, canonical_type
 from ..errors import CyclicGraphError, ReductionError
-from ..saturation.incremental import IncrementalAnalysis, IncrementalSaturation
+from ..saturation.incremental import IncrementalSaturation
 from ..saturation.result import SaturationResult
 from .serialization import (
     SerializationMode,
@@ -44,11 +47,6 @@ from .serialization import (
 )
 
 __all__ = ["ReductionSession", "scan_floor"]
-
-#: Removal sentinel for the verdict-cache maintenance (verdict tuples are
-#: always truthy, but a dedicated object keeps the intent explicit).
-_MISS = object()
-
 
 def scan_floor(cp: int, base_cp: int) -> Tuple[int, int]:
     """The least ``(cp_increase, arc_count)`` key any candidate pair can score.
@@ -98,8 +96,10 @@ class ReductionSession:
         self.pruned: List[Edge] = []
         if prune_redundant:
             working, self.pruned = prune_redundant_serial_arcs(working)
-        self._analysis = IncrementalAnalysis(working)
-        self._saturation = IncrementalSaturation(self._analysis, self.rtype)
+        self._saturation = IncrementalSaturation(working, self.rtype)
+        # The session's only warm analysis.  Off ⊥, which no pair query
+        # reads, it answers for the working graph (descendants gain ⊥).
+        self._mirror = self._saturation.mirror
         # Flat pair keying: the saturation state already indexes the mirror's
         # values; an ordered pair becomes the small int `ui * n + vi`, so the
         # per-pair caches below hash machine ints instead of Value tuples on
@@ -114,28 +114,21 @@ class ReductionSession:
         # latencies depend only on the operations, neither of which a serial
         # arc can change, so this survives every push/pop.
         self._proto_edges_cache: Dict[object, Tuple[Tuple[str, int], ...]] = {}
-        # pair key -> last iteration's `consider` verdict.  A verdict
-        # depends only on the pair's proto readers, the target's descendant
-        # set / issue-time window and the readers' ASAP times; a push dirties
-        # exactly {dst} ∪ desc(dst) per applied arc plus the nodes whose
-        # sink distance moved (see `_invalidate_verdicts`), so verdicts
-        # whose nodes avoid that region are re-used verbatim (the critical
-        # path itself is re-read fresh -- see `consider`).  The cache is
-        # framed copy-on-write per push so `pop` restores it exactly.
+        # pair key -> last iteration's `consider` verdict.  Rejections hold
+        # until the pop of the frame that stored them (`_store_verdict`); a
+        # candidate is re-used until a push dirties its target or a proto
+        # reader (`_invalidate_verdicts`; the critical path itself is re-read
+        # fresh -- see `consider`).  Framed per push so `pop` restores it.
         self._pair_verdicts: Dict[object, Tuple] = {}
         # Undo frames for the verdict cache: one (dropped entries, added
         # keys) delta per push, applied in reverse by `pop` -- the cache
         # dict itself is never copied.
         self._verdict_frames: List[Tuple[Dict[object, Tuple], List[object]]] = []
-        # node -> pair keys whose verdict reads that node (the pair's target
-        # or one of its proto readers), registered when a verdict is first
-        # stored.  Inverts the invalidation: a push walks dirty-node buckets
-        # instead of filtering the whole verdict cache per push.  Entries
-        # are never removed -- a stale key just no-ops the pop below.
+        # node -> candidate pair keys whose verdict reads that node (the
+        # target or a proto reader).  Inverts the invalidation: a push walks
+        # dirty-node buckets instead of the whole verdict cache.  A stale
+        # key in a bucket is skipped.
         self._verdict_node_keys: Dict[str, set] = {}
-        # Keys with no proto skeleton (BOTTOM endpoints): no nodes to index
-        # them under, so they are conservatively dropped on every push.
-        self._volatile_keys: set = set()
         self._cp_state_version = -1
         self._to_sinks: Dict[str, float] = {}
         self._cp = 0
@@ -158,13 +151,13 @@ class ReductionSession:
     def ddg(self) -> DDG:
         """The working graph (original + pruning + pushed serializations)."""
 
-        return self._analysis.ddg
+        return self._saturation.working_ddg
 
     @property
     def depth(self) -> int:
         """Number of push frames currently undoable."""
 
-        return self._analysis.depth
+        return self._mirror.depth
 
     def critical_path(self) -> int:
         """Critical path of the working graph, read off the warm cp state."""
@@ -176,11 +169,6 @@ class ReductionSession:
         """Critical path of the bottom-normalised working graph."""
 
         return context_for(self._saturation.mirror_ddg).critical_path_length()
-
-    def lp_row(self, src: str) -> Dict[str, float]:
-        """Warm exact longest-path row from *src* in the working graph."""
-
-        return self._analysis.lp_row(src)
 
     # ------------------------------------------------------------------ #
     # Candidate evaluation (no copies)
@@ -239,15 +227,16 @@ class ReductionSession:
         """
 
         g = self.ddg
-        reach_target = self._analysis.descendants_excl()[target]
+        reach_target = self._mirror.descendants_excl()[target]
         kept: List[Tuple[str, int]] = []
-        for reader, latency in proto:
+        for arc in proto:
+            reader, latency = arc
             best = g.best_latency_between(reader, target)
             if best is not None and best >= latency:
                 continue
             if reader in reach_target:
                 return None
-            kept.append((reader, latency))
+            kept.append(arc)
         return kept
 
     def _refresh_cp_state(self) -> None:
@@ -267,7 +256,7 @@ class ReductionSession:
         recompute exactly (same integer arithmetic) while touching only the
         affected region.  Returns the set of nodes whose sink distance
         changed -- precisely the upstream dirty region the verdict
-        invalidation needs.  The working :class:`IncrementalAnalysis`
+        invalidation needs.  The mirror's :class:`IncrementalAnalysis`
         relaxes the ASAP times the same way.
         """
 
@@ -404,10 +393,10 @@ class ReductionSession:
         cp = self._cp
         floor = scan_floor(cp, base_cp)
         indexed = [(v, vindex.get(v.node)) for v in saturating]
-        for u, ui in indexed:
+        for i, (u, ui) in enumerate(indexed):
             base = ui * n if ui is not None else None
-            for v, vi in indexed:
-                if u == v:
+            for j, (v, vi) in enumerate(indexed):
+                if j == i:
                     continue
                 if base is not None and vi is not None:
                     key: object = base + vi
@@ -439,31 +428,40 @@ class ReductionSession:
         return best, implied_count
 
     def _register_verdict_key(self, key: object, target_node: str) -> None:
-        """Index a freshly stored verdict under the nodes it reads."""
+        """Index a candidate verdict under the nodes it reads."""
 
-        proto = self._proto_edges_cache.get(key)
-        if proto is None:
-            self._volatile_keys.add(key)
-            return
         index = self._verdict_node_keys
         bucket = index.get(target_node)
         if bucket is None:
             bucket = index[target_node] = set()
         bucket.add(key)
-        for reader, _latency in proto:
+        for reader, _latency in self._proto_edges_cache[key]:
             bucket = index.get(reader)
             if bucket is None:
                 bucket = index[reader] = set()
             bucket.add(key)
 
     def _store_verdict(self, key: object, verdict: Tuple, after: Value) -> None:
-        """Store a fresh verdict in the dict and the node index."""
+        """Store a fresh verdict; only a candidate is indexed for invalidation.
+
+        A rejected (``_V_NONE``) or implied (``_V_IMPLIED``) verdict stays
+        until the pop of the frame that stored it.  A push only adds arcs or
+        raises latencies, so reachability, direct-arc latencies and longest
+        paths only grow.  A pair is rejected when an endpoint is ⊥, it has
+        no proto reader, every reader already has a dominating arc to the
+        target, or an undominated reader is reachable from the target.
+        Each survives a push: in the last case the reader can never gain an
+        arc to the target, because that arc would close a cycle.  An
+        implied pair stays implied for the same reason: its readers' paths
+        to the target only grow.
+        """
 
         self._pair_verdicts[key] = verdict
         frames = self._verdict_frames
         if frames:
             frames[-1][1].append(key)
-        self._register_verdict_key(key, after.node)
+        if verdict is not self._V_NONE and verdict is not self._V_IMPLIED:
+            self._register_verdict_key(key, after.node)
 
     def record_scan_time(self, seconds: float) -> None:
         """Accumulate one iteration's candidate-scan wall clock (stage timer)."""
@@ -485,17 +483,17 @@ class ReductionSession:
         if not proto:
             return self._V_NONE
         target = after.node
-        desc = self._analysis.descendants_excl()
-        # The reachability screen + exact longest-path confirmation of the
-        # `implied` pre-filter, inlined.
+        mirror = self._mirror
+        desc = mirror.descendants_excl()
+        # The reachability screen + exact longest-path confirmation of
+        # `serialization_implied`, inlined.
         for reader, _latency in proto:
             if target not in desc[reader]:
                 break
         else:
-            analysis = self._analysis
-            tid = analysis.op_id(target)
+            tid = mirror.op_id(target)
             for reader, latency in proto:
-                if analysis.row_by_name(reader)[tid] < latency:
+                if mirror.row_by_name(reader)[tid] < latency:
                     break
             else:
                 return self._V_IMPLIED
@@ -506,7 +504,7 @@ class ReductionSession:
             return self._V_NONE
         self.stats["evaluated_candidates"] += 1
         self._refresh_cp_state()
-        asap = self._analysis.asap_times()
+        asap = mirror.asap_times()
         best_target = asap[target]
         for reader, latency in kept:
             cand = asap[reader] + latency
@@ -538,77 +536,72 @@ class ReductionSession:
         """
 
         edges = list(edges)
-        if not self._analysis.remains_acyclic_with_edges(edges):
+        if not self._mirror.remains_acyclic_with_edges(edges):
             raise CyclicGraphError(
                 f"serializing {self.ddg.name!r} must keep the DDG acyclic"
             )
         cp_fresh = self._cp_state_version == self.ddg.version
-        self._saturation.push(edges)
+        records = self._saturation.push(edges).records
         self.stats["pushes"] += 1
-        changed_sinks = (
-            self._patch_cp_state(self._analysis._frames[-1].records)
-            if cp_fresh
-            else None
-        )
-        self._invalidate_verdicts(changed_sinks)
+        changed_sinks = self._patch_cp_state(records) if cp_fresh else None
+        self._invalidate_verdicts(records, changed_sinks)
 
-    def _invalidate_verdicts(self, changed_sinks: Optional[set]) -> None:
-        """Frame the pair-verdict cache and drop the dirty region.
+    def _invalidate_verdicts(self, records, changed_sinks: Optional[set]) -> None:
+        """Frame the pair-verdict cache and drop the dirty candidates.
 
-        Applied arcs (read off the working analysis' undo frame; no-op
-        pushes dirty nothing) can move a pair's verdict only through nodes
-        in ``{dst} ∪ desc(dst)`` per arc plus the nodes whose longest path
-        to the sinks changed: the target's ASAP window, its descendant set,
-        and every longest path *into* it change only at-or-below the arc,
-        while the only upstream input a verdict reads is
+        Applied arcs (*records*, read off the mirror's undo frame; no-op
+        pushes dirty nothing) can move a candidate's verdict only through
+        nodes in ``{dst} ∪ desc(dst)`` per arc plus the nodes whose longest
+        path to the sinks changed: the target's ASAP window, its descendant
+        set, and every longest path *into* it change only at-or-below the
+        arc, while the only upstream input a verdict reads is
         ``to_sinks[target]``.  When the warm cp state was patched through
         the push, *changed_sinks* is that exact affected set; a cold state
-        falls back to the conservative ``anc(src)`` superset.  Pairs whose
-        target and proto readers all avoid the region provably keep last
-        iteration's verdict.
+        falls back to the conservative ``anc(src)`` superset.  Candidates
+        whose target and proto readers all avoid the region provably keep
+        last iteration's verdict, and rejected or implied verdicts are
+        never dropped (see :meth:`_store_verdict`).
         """
 
         verdicts = self._pair_verdicts
         dropped: Dict[object, Tuple] = {}
         added: List[object] = []
         self._verdict_frames.append((dropped, added))
-        frame = self._analysis._frames[-1]
-        if not frame.records or not verdicts:
+        if not records or not verdicts:
             return
         dirty: set = set()
-        desc = self._analysis.descendants_incl()
-        for record in frame.records:
+        mirror = self._mirror
+        desc = mirror.descendants_incl()
+        for record in records:
             dirty.add(record.edge.dst)
             dirty |= desc[record.edge.dst]
         if changed_sinks is None:
-            for record in frame.records:
-                dirty |= self._analysis.ancestors_incl(record.edge.src)
+            for record in records:
+                dirty |= mirror.ancestors_incl(record.edge.src)
         else:
             dirty |= changed_sinks
             self.stats["verdict_exact_regions"] += 1
         # Inverted filter: walk the dirty nodes' key buckets instead of
-        # testing every cached verdict -- same retention (a key is indexed
-        # under exactly its target and proto readers; proto-less keys are
-        # volatile), O(|dirty| + dropped) instead of O(|cache|).  Dropped
-        # entries land in the undo frame so `pop` can restore them without
-        # the dict ever being copied.
-        missing = _MISS
-        for key in self._volatile_keys:
-            v = verdicts.pop(key, missing)
-            if v is not missing:
-                dropped[key] = v
+        # testing every cached verdict -- same retention (a candidate is
+        # indexed under exactly its target and proto readers), O(|dirty| +
+        # dropped) instead of O(|cache|).  Dropped entries land in the undo
+        # frame so `pop` can restore them without the dict ever being
+        # copied.
+        none, implied = self._V_NONE, self._V_IMPLIED
         index = self._verdict_node_keys
         for node in dirty:
             keys = index.pop(node, None)
             if keys:
-                # The bucket is consumed: every key in it is either dropped
-                # now or already gone from the dict (dropped through another
-                # bucket earlier).  A restore (`pop`) re-registers what it
-                # puts back, so nothing is walked twice across pushes.
+                # The bucket is consumed: each key is dropped now, already
+                # gone, or settled (a candidate re-derived as a rejection
+                # keeps its old buckets).  `pop` re-registers what it puts
+                # back, so nothing is walked twice across pushes.
                 for key in keys:
-                    v = verdicts.pop(key, missing)
-                    if v is not missing:
-                        dropped[key] = v
+                    v = verdicts.get(key)
+                    if v is None or v is none or v is implied:
+                        continue
+                    del verdicts[key]
+                    dropped[key] = v
 
     def pop(self) -> None:
         """Undo the most recent push, restoring the exact prior state."""
@@ -621,8 +614,8 @@ class ReductionSession:
             verdicts.pop(key, None)
         if dropped:
             verdicts.update(dropped)
-            # Restored keys must be findable by future invalidations: the
-            # push that dropped them consumed their dirty-node buckets.
+            # Restored candidates must be findable by future invalidations:
+            # the push that dropped them consumed their dirty-node buckets.
             register = self._register_verdict_key
             values = self._values_by_index
             nvals = self._nvals
@@ -684,7 +677,7 @@ class ReductionSession:
         """
 
         g = self.ddg
-        desc = self._analysis.descendants_incl()
+        desc = self._mirror.descendants_incl()
         sat = self.saturation()
         return {
             "edges": sorted(

@@ -67,6 +67,15 @@ __all__ = ["IncrementalAnalysis", "IncrementalSaturation"]
 _NEG_INF = graphalgo.NEG_INF
 
 
+def _duplicate_of(g: DDG, edge: Edge) -> Optional[Edge]:
+    """The arc of *g* that *edge* would merge with: same endpoints, kind and type."""
+
+    for existing in g.edges_between(edge.src, edge.dst):
+        if existing.kind is edge.kind and existing.rtype == edge.rtype:
+            return existing
+    return None
+
+
 @dataclass
 class _AppliedArc:
     """One arc actually applied by a push (no-ops are not recorded)."""
@@ -308,36 +317,14 @@ class IncrementalAnalysis:
             return row
         return self._compute_row_flat(src_id)
 
-    def _transient_row(self, src: str) -> Dict[str, float]:
-        """Name-keyed view of :meth:`_transient_row_flat` (boundary/compat)."""
-
-        row = self._transient_row_flat(self._interner.id(src))
-        return dict(zip(self._interner.names(), row))
-
     def remains_acyclic_with_edges(self, edges) -> bool:
         return graphalgo.mini_graph_remains_acyclic(
             edges, self.descendants_excl().__getitem__
         )
 
-    def critical_path_with_edges(self, edges) -> int:
-        ctx = context_for(self._g)
-        return graphalgo.extended_critical_path(
-            edges,
-            ctx.asap_times(),
-            ctx.longest_path_to_sinks(),
-            self.lp_row,
-            ctx.critical_path_length(),
-        )
-
     # ------------------------------------------------------------------ #
     # Mutation
     # ------------------------------------------------------------------ #
-    def _find_duplicate(self, edge: Edge) -> Optional[Edge]:
-        for existing in self._g.edges_between(edge.src, edge.dst):
-            if existing.kind is edge.kind and existing.rtype == edge.rtype:
-                return existing
-        return None
-
     def ancestors_incl(self, node: str) -> Set[str]:
         """Ancestors of *node*, including itself (one reverse reachability walk)."""
 
@@ -351,9 +338,6 @@ class IncrementalAnalysis:
                     stack.append(w)
         return seen
 
-    # Backwards-compatible alias (pre-PR-5 internal name).
-    _ancestors_incl = ancestors_incl
-
     def evict_row_id(self, src_id: int) -> None:
         """Drop the cached flat row from op *src_id* (recomputed on demand).
 
@@ -364,13 +348,6 @@ class IncrementalAnalysis:
         """
 
         self._lp_rows.pop(src_id, None)
-
-    def evict_row(self, src: str) -> None:
-        """Name-keyed form of :meth:`evict_row_id`."""
-
-        src_id = self._interner.get(src)
-        if src_id is not None:
-            self._lp_rows.pop(src_id, None)
 
     def replace_arc(self, current: Optional[Edge], desired: Optional[Edge]) -> None:
         """Out-of-band surgery on one arc slot: swap *current* for *desired*.
@@ -462,7 +439,7 @@ class IncrementalAnalysis:
         iid = self._interner.id
 
         for edge in edges:
-            duplicate = self._find_duplicate(edge)
+            duplicate = _duplicate_of(self._g, edge)
             if duplicate is not None and duplicate.latency >= edge.latency:
                 continue  # no-op: the graph is untouched
             dst_id = iid(edge.dst)
@@ -522,7 +499,7 @@ class IncrementalAnalysis:
                 # Reachability actually grew: every ancestor of src now also
                 # reaches {dst} ∪ desc(dst).
                 addition = frozenset(self._desc_incl[edge.dst])
-                ancestors = self._ancestors_incl(edge.src)
+                ancestors = self.ancestors_incl(edge.src)
                 for x in ancestors:
                     current = self._desc_incl[x]
                     if not addition <= current:
@@ -1143,9 +1120,12 @@ class _CandidateDVState:
 class IncrementalSaturation:
     """Greedy-k saturation state kept warm across serialization pushes.
 
-    Owns the bottom-normalised mirror of a working graph (built once and
-    mutated in lock-step, instead of re-deriving ``G ∪ {⊥}`` per iteration)
-    plus the saturation-specific analyses, each patched only where a push
+    Mutates a working graph in place and owns the only warm structural
+    analysis, :attr:`mirror`, over its bottom-normalised copy ``G ∪ {⊥}``.
+    A push applies the arcs to the mirror, then the arcs the mirror applied
+    to the working graph; ⊥ only receives arcs, so the mirror answers every
+    reachability, ASAP or longest-path query between other nodes.  On top
+    sit the saturation-specific analyses, each patched only where a push
     changed it and restored by reference on pop:
 
     * the potential-killers map: a value's row is replaced only when its
@@ -1173,14 +1153,10 @@ class IncrementalSaturation:
     clock, both surfaced in ``ReductionResult.details["engine_stats"]``.
     """
 
-    def __init__(self, analysis: IncrementalAnalysis, rtype: RegisterType | str) -> None:
+    def __init__(self, working: DDG, rtype: RegisterType | str) -> None:
         self.rtype = canonical_type(rtype)
-        self._working = analysis
-        g = analysis.ddg
-        if g.has_bottom:
-            self._mirror = analysis
-        else:
-            self._mirror = IncrementalAnalysis(g.with_bottom())
+        self._working = working
+        self._mirror = IncrementalAnalysis(working.with_bottom())
         self._pk: Optional[Dict[Value, List[str]]] = None
         self._cons: Dict[Value, Tuple[str, ...]] = {}
         self._value_nodes: Set[str] = set()
@@ -1193,6 +1169,8 @@ class IncrementalSaturation:
         #: The ``canonical`` and ``asap-induced`` mappings, in pk order.
         self._canonical: Dict[Value, str] = {}
         self._induced: Dict[Value, str] = {}
+        #: Per push: the pre-push pk, killer sets and fixed mappings, and
+        #: the working-graph arcs it added with the duplicates they displaced.
         self._frames: List[Tuple[object, ...]] = []
         from .greedy import ChoiceCache, ComponentCache  # local: avoids import cycle
 
@@ -1242,7 +1220,13 @@ class IncrementalSaturation:
 
     @property
     def working_ddg(self) -> DDG:
-        return self._working.ddg
+        return self._working
+
+    @property
+    def mirror(self) -> IncrementalAnalysis:
+        """The bottom mirror's warm analysis (read-only for callers)."""
+
+        return self._mirror
 
     @property
     def mirror_ddg(self) -> DDG:
@@ -1284,20 +1268,21 @@ class IncrementalSaturation:
         if self._pk is None or self._kdv is None:
             raise RuntimeError("push bookkeeping before the potential killers were built")
         pk_old = self._pk
+        cons, killer_values = self._cons, self._killer_values
         dirty: Set[Value] = set()
         for record in records:
             if record.addition is None or record.ancestors is None:
                 continue
-            ancestors, addition = record.ancestors, record.addition
-            for value, killers in pk_old.items():
-                if value in dirty or not killers:
-                    continue
-                # pkill(u) can only lose a killer k when k (an ancestor of
-                # the arc's source) newly reaches another consumer of u.
-                if any(k in ancestors for k in killers) and any(
-                    c in addition for c in self._cons[value]
-                ):
-                    dirty.add(value)
+            addition = record.addition
+            # pkill(u) can only lose a killer k when k (an ancestor of the
+            # arc's source) newly reaches another consumer of u.  Only the
+            # rows of the ancestors' initial values can hold such a k.
+            for k in record.ancestors:
+                for value in killer_values.get(k, ()):
+                    if value in dirty or k not in pk_old[value]:
+                        continue
+                    if any(c in addition for c in cons[value]):
+                        dirty.add(value)
 
         changed: List[Value] = []
         if dirty:
@@ -1357,16 +1342,24 @@ class IncrementalSaturation:
     # ------------------------------------------------------------------ #
     # Push / pop / query
     # ------------------------------------------------------------------ #
-    def push(self, edges) -> None:
+    def push(self, edges) -> _AnalysisFrame:
+        """Push *edges* on the mirror and the working graph; returns the mirror's frame."""
+
         edges = list(edges)
         self._ensure_pk()
-        self._frames.append((self._pk, self._kdv, self._canonical, self._induced))
         t0 = time.perf_counter()
-        self._working.push(edges)
-        if self._mirror is not self._working:
-            frame = self._mirror.push(edges)
-        else:
-            frame = self._working._frames[-1]
+        frame = self._mirror.push(edges)
+        g = self._working
+        added: List[Tuple[Edge, Optional[Edge]]] = []
+        for record in frame.records:
+            edge = record.edge
+            # The working graph's own duplicate, not the mirror's: an arc
+            # added to the working graph out of band may differ.
+            displaced = _duplicate_of(g, edge)
+            if displaced is None or displaced.latency < edge.latency:
+                g.add_edge(edge)
+                added.append((edge, displaced))
+        self._frames.append((self._pk, self._kdv, self._canonical, self._induced, added))
         changed = self._update_after_push(frame.records)
         t1 = time.perf_counter()
         self.timings["analysis_push"] += t1 - t0
@@ -1384,14 +1377,18 @@ class IncrementalSaturation:
         for state in self._candidate_states.values():
             state.defer_sync(edges)
         self._inject()
+        return frame
 
     def pop(self) -> None:
         if not self._frames:
             raise IndexError("no pushed serialization frame to pop")
-        pk, kdv, canonical, induced = self._frames.pop()
-        self._working.pop()
-        if self._mirror is not self._working:
-            self._mirror.pop()
+        pk, kdv, canonical, induced, added = self._frames.pop()
+        self._mirror.pop()
+        g = self._working
+        for edge, displaced in reversed(added):
+            g.remove_edge(edge)
+            if displaced is not None:
+                g.add_edge(displaced)
         self._pk = pk  # type: ignore[assignment]
         self._kdv = kdv  # type: ignore[assignment]
         self._canonical = canonical  # type: ignore[assignment]
@@ -1415,9 +1412,7 @@ class IncrementalSaturation:
         if self._pk is not None:
             pk = self._pk
             mctx.memo(("pkill", self.rtype), lambda: pk)
-        if self._mirror is not self._working:
-            wctx = context_for(self._working.ddg)
-            wctx.memo("bottom", lambda: mctx)
+        context_for(self._working).memo("bottom", lambda: mctx)
 
     def candidate_functions(self, extra_candidates: bool = True):
         """Greedy-k's candidate killing functions of the mirror, from warm state.
@@ -1506,9 +1501,9 @@ class IncrementalSaturation:
 
         self._inject()
         result = greedy_saturation(
-            self._working.ddg,
+            self._working,
             self.rtype,
-            ctx=context_for(self._working.ddg),
+            ctx=context_for(self._working),
             candidate_evaluator=self.candidate_antichain,
             candidate_functions=self.candidate_functions,
         )

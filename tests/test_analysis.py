@@ -1,5 +1,7 @@
 """Tests for graph algorithms, antichains (Dilworth) and statistics helpers."""
 
+import gc
+
 import pytest
 
 from repro.analysis import (
@@ -25,8 +27,10 @@ from repro.analysis import (
     transitive_closure_pairs,
     worst_case_total_time,
 )
-from repro.analysis.graphalgo import ancestors, is_redundant_edge
+from repro.analysis.graphalgo import ancestors, is_redundant_edge, mini_graph_remains_acyclic
 from repro.core import DDGBuilder, chain_ddg, fork_join_ddg
+from repro.core.graph import Edge
+from repro.core.types import DependenceKind
 
 
 class TestLongestPaths:
@@ -75,6 +79,22 @@ class TestReachability:
         pairs = transitive_closure_pairs(chain5_ddg)
         assert ("v0", "v4") in pairs and ("v4", "v0") not in pairs
         assert len(pairs) == 10  # 5 choose 2 ordered along the chain
+
+    def test_mini_graph_acyclicity_leaves_no_garbage(self):
+        # The reduction loop checks every push; a reference cycle left per
+        # call would feed the collector on every iteration.
+        reach = {"a": {"b"}, "b": set(), "c": set()}.__getitem__
+        edges = [
+            Edge("b", "c", 1, DependenceKind.SERIAL, None),
+            Edge("a", "c", 1, DependenceKind.SERIAL, None),
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            assert mini_graph_remains_acyclic(edges, reach)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestRedundantEdges:

@@ -23,8 +23,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.context import context_for
 from repro.analysis.interner import OpInterner
 from repro.codes import kernel_suite, scale_suite
+from repro.codes.generator import layered_random_ddg
+from repro.core.machine import retarget, vliw
+from repro.core.types import BOTTOM
 from repro.reduction import ReductionSession, reduce_saturation_heuristic
 
 #: Reduction-heavy kernels (same selection as the benchmark population).
@@ -76,7 +80,7 @@ class TestOpIdStability:
         entry = _scale(40)
         rtype = entry.ddg.register_types()[0]
         session = ReductionSession(entry.ddg, rtype)
-        analysis = session._analysis
+        analysis = session._mirror
         ids_before = {name: analysis.op_id(name) for name in session.ddg.nodes()}
 
         saturating = list(session.saturation().saturating_values)
@@ -101,23 +105,27 @@ class TestOpIdStability:
         ids_after = {name: analysis.op_id(name) for name in session.ddg.nodes()}
         assert ids_after == ids_before
 
-    def test_mirror_shares_context_interner_ids(self):
-        # The bottom mirror interns independently through its own context;
-        # ids must agree on every shared node because both seed from
-        # DDG.nodes() insertion order (preserved by DDG.copy()).
+    def test_session_reads_the_mirror_analysis(self):
+        # The bottom mirror's analysis is the session's only warm one, and
+        # it interns like the mirror's own context, whose interner the
+        # candidate DV states use: both seed from DDG.nodes() insertion
+        # order (preserved by DDG.copy()).
         entry = _kernel("dsp-fir6")
         rtype = entry.ddg.register_types()[0]
         session = ReductionSession(entry.ddg, rtype)
-        working = session._analysis
-        mirror = session._saturation._mirror
-        for name in session.ddg.nodes():
-            assert mirror.op_id(name) == working.op_id(name)
+        mirror = session._mirror
+        assert mirror is session._saturation.mirror
+        assert mirror.ddg is session._saturation.mirror_ddg is not session.ddg
+        assert BOTTOM in mirror.ddg and BOTTOM not in session.ddg
+        interner = context_for(mirror.ddg).op_interner()
+        for name in mirror.ddg.nodes():
+            assert mirror.op_id(name) == interner.id(name)
 
     def test_lp_row_dict_view_matches_flat_row(self):
         entry = _kernel("linpack-daxpy-u4")
         rtype = entry.ddg.register_types()[0]
         session = ReductionSession(entry.ddg, rtype)
-        analysis = session._analysis
+        analysis = session._mirror
         for name in list(session.ddg.nodes())[:5]:
             row = analysis.row_by_name(name)
             as_dict = analysis.lp_row(name)
@@ -170,6 +178,20 @@ class TestFlatCoreByteIdentity:
         )
         assert _normalized_report(scratch) == _normalized_report(incremental)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bottom_normalised_input_reports_identical(self, seed):
+        # A working graph that already has ⊥ gets a mirror that is a plain
+        # copy of it; the session must still agree with the reference loop.
+        ddg = layered_random_ddg(nodes=16, layers=4, seed=seed).with_bottom()
+        rtype = ddg.register_types()[0]
+        scratch = reduce_saturation_heuristic(
+            ddg.copy(), rtype, 3, engine="from-scratch"
+        )
+        incremental = reduce_saturation_heuristic(
+            ddg.copy(), rtype, 3, engine="incremental"
+        )
+        assert _normalized_report(scratch) == _normalized_report(incremental)
+
     def test_scale_report_identical(self):
         entry = _scale(48)
         rtype = entry.ddg.register_types()[0]
@@ -182,27 +204,51 @@ class TestFlatCoreByteIdentity:
         assert _normalized_report(scratch) == _normalized_report(incremental)
 
 
-class TestExactVerdictInvalidation:
-    def test_retained_verdicts_match_fresh_recompute(self):
-        """Property: every verdict the exact invalidation keeps across a push
-        equals what a cold evaluation of that pair would produce now."""
+def _verdict_loop_graph(name):
+    """The graphs whose reduction loops the verdict-cache test drives."""
 
-        entry = _scale(56)
-        rtype = entry.ddg.register_types()[0]
-        session = ReductionSession(entry.ddg, rtype)
+    if name == "scale-n56":
+        return _scale(56).ddg
+    if name == "vliw-ro1":
+        return retarget(_kernel("specfp-tomcatv").ddg, vliw(read_offset=1))
+    return layered_random_ddg(nodes=16, layers=4, seed=int(name.split("-")[1]))
+
+
+class TestExactVerdictInvalidation:
+    @pytest.mark.parametrize(
+        "name, registers",
+        [("scale-n56", 4), ("vliw-ro1", 3)] + [(f"layered-{s}", 2) for s in range(10)],
+    )
+    def test_retained_verdicts_match_fresh_recompute(self, name, registers):
+        """Property: every verdict the invalidation keeps across a push
+        equals what a cold evaluation of that pair would produce now, and
+        no push drops a rejected or implied verdict."""
+
+        ddg = _verdict_loop_graph(name)
+        rtype = ddg.register_types()[0]
+        session = ReductionSession(ddg, rtype)
         n = session._nvals
         values = session._values_by_index
+        settled = (session._V_NONE, session._V_IMPLIED)
 
         current = session.saturation()
-        for _ in range(4):
+        while current.rs > registers:
             saturating = list(current.saturating_values)
             best, _implied = session.scan(saturating, session.critical_path())
             if best is None:
                 break
+            held = {
+                key: verdict
+                for key, verdict in session._pair_verdicts.items()
+                if verdict in settled
+            }
             session.apply_payload(best[1])
+            verdicts = session._pair_verdicts
+            for key, verdict in held.items():
+                assert verdicts.get(key) is verdict, f"settled verdict {key} dropped"
             # Every retained verdict must be bit-for-bit what a fresh
             # evaluation produces on the post-push graph.
-            for key, verdict in list(session._pair_verdicts.items()):
+            for key, verdict in list(verdicts.items()):
                 if type(key) is int:
                     before, after = values[key // n], values[key % n]
                 else:
@@ -212,7 +258,8 @@ class TestExactVerdictInvalidation:
                 )
             current = session.saturation()
 
-        assert session.stats["pushes"] > 0
+        # layered-2 has no legal pair at all: its loop is stuck at once.
+        assert session.stats["pushes"] > 0 or name == "layered-2"
         assert session.stats["verdict_exact_regions"] == session.stats["pushes"], (
             "the driver loop keeps the sink-distance map warm, so every push "
             "must take the exact invalidation path"

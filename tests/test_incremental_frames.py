@@ -30,7 +30,7 @@ from repro.codes.generator import layered_random_ddg, random_superblock
 from repro.codes.suite import kernel_suite
 from repro.core.graph import DDG, Edge
 from repro.core.schedule import asap_schedule
-from repro.core.types import INT, DependenceKind
+from repro.core.types import BOTTOM, INT, DependenceKind
 from repro.reduction import ReductionSession, reduce_saturation_heuristic
 from repro.reduction.heuristic import _HeuristicLoop, _SessionDriver
 from repro.reduction.serialization import SerializationMode
@@ -172,7 +172,7 @@ class TestRandomInterleavings:
     def test_saturation_state_matches_fresh_after_every_step(self, seed):
         rng = random.Random(900 + seed)
         ddg = layered_random_ddg(nodes=16 + seed, layers=4, seed=seed)
-        sat = IncrementalSaturation(IncrementalAnalysis(ddg.copy()), INT)
+        sat = IncrementalSaturation(ddg.copy(), INT)
         pool = _serial_arc_pool(ddg, rng)
         sat.candidate_functions()
         pushes = pops = 0
@@ -185,6 +185,10 @@ class TestRandomInterleavings:
             else:
                 sat.push([pool[rng.randrange(len(pool))] for _ in range(rng.randint(1, 2))])
                 pushes += 1
+            # The working graph is the mirror without ⊥'s incoming arcs.
+            assert _edge_set(sat.working_ddg) == [
+                e for e in _edge_set(sat.mirror_ddg) if e[1] != BOTTOM
+            ], label
             # What a step did not change keeps its object.
             for killer, values in sat._kdv.items():
                 if values == kdv_before[killer]:
