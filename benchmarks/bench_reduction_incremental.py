@@ -17,7 +17,7 @@ suite) -- and checks:
 
 * the reports are byte-identical (wall time and the engine tag aside);
 * the incremental engine actually took its warm paths -- including the
-  candidate engine's killed-graph patches and pair-verdict reuse;
+  candidate engine's DV-state patches and pair-verdict reuse;
 * the aggregate speedup meets ``REPRO_REDUCTION_SPEEDUP_MIN`` (default 15
   locally; 16.4x on 2 vCPUs of an x86-64 Xeon under Python 3.11, with the
   per-instance peak ~21x at scale-sb200.  A gc.collect before each timed
@@ -260,7 +260,9 @@ def _record_dv_traces(ddg, rtype, budget):
 
     def snapshot(_sat=None):
         for label, state in session._saturation._candidate_states.items():
-            if state.analysis is None or state._engine is None:
+            # Key on the antichain engine: either DV engine may hold the
+            # state, and only the longest-path one has a killed mirror.
+            if state._engine is None:
                 continue
             traces.setdefault(label, []).append(state.dv_rows())
 

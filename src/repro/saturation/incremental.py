@@ -19,12 +19,25 @@ Everything outside that dirty region provably cannot change, so the classes
 below mutate one working DDG in place (with undo) and patch the affected
 entries, sharing every untouched set/row with the previous iteration.
 
+**Candidate DV engines.** Greedy-k's disjoint-value DAG of a candidate
+killing function ``k`` has an arc ``u → v`` when
+``lp(k(u), v) >= delta_r(k(u)) - delta_w(v)`` in the killed graph ``G→k``.
+Each candidate label keeps that relation warm in one of two engines,
+picked from the input.  When every op reads and writes at offset 0 and no
+arc is negative -- any superscalar or EPIC target -- every threshold is 0
+and no path is negative, so the test is reachability, and
+:class:`_ReachDVState` keeps ``G→k``'s reachability bitsets over the
+bottom mirror without copying a graph.  Otherwise (VLIW offsets, or a
+negative arc) :class:`_CandidateDVState` keeps ``G→k`` alive as a
+longest-path mirror; it is the only exact engine there, and the
+reachability engine's test oracle.
+
 **Flat-array core.** The hot state lives on integer op ids handed out by the
 per-graph :class:`~repro.analysis.interner.OpInterner` (stable across graph
 revisions -- only arcs change, never the node set): longest-path rows are
 flat ``List[float]`` buffers indexed by op id instead of name-keyed dicts,
 killer/DV state is bitmask rows over the same id space (no str↔bit
-translation left on the sync path between the killed mirrors and
+translation left on the sync path between the DV engines and
 :class:`~repro.analysis.antichain.PersistentAntichain`), undo frames hold
 slice copies of flat buffers (a ``list.copy`` memcpy instead of dict
 rebuilds), and row patching is a whole-row max-merge over arrays.  The
@@ -52,6 +65,7 @@ from typing import (
     Optional,
     Set,
     Tuple,
+    Union,
 )
 
 from ..analysis import flatbuf, graphalgo
@@ -602,117 +616,100 @@ class IncrementalAnalysis:
             ctx.memo("asap", lambda: asap)
 
 
-#: Sentinel returned by `_CandidateDVState.antichain` when the DV relation
-#: unexpectedly has a cycle and the generic path must decide.
+#: Sentinel returned by a candidate DV state's `antichain` when the DV
+#: relation unexpectedly has a cycle and the generic path must decide.
 _GENERIC_FALLBACK = object()
 
 
 @dataclass
-class _CandidateFrame:
-    """Undo record of one sync() on a candidate DV state.
+class _SyncFrame:
+    """Undo record of one ``sync()`` on a candidate DV state.
 
-    One frame is appended per :meth:`_CandidateDVState.sync` call (even for
-    early-returned no-ops) so the materialised frames plus the deferred
-    pending pushes stay in lock-step with the owning
-    :class:`IncrementalSaturation`'s push depth; popping replays it.
+    One frame is appended per sync call (even for early-returned no-ops) so
+    the materialised frames plus the deferred pending pushes stay in
+    lock-step with the owning :class:`IncrementalSaturation`'s push depth;
+    :meth:`_DVState.pop_frame` replays it.
     """
 
     was_cyclic: bool
-    analysis_pushed: bool = False
     engine_pushed: bool = False
+
+
+@dataclass
+class _CandidateFrame(_SyncFrame):
+    """A sync frame of the longest-path engine, :class:`_CandidateDVState`."""
+
+    analysis_pushed: bool = False
     #: The pre-push killer-bits dict (copy-on-write), or None when untouched.
     bits: Optional[Dict[int, int]] = None
 
 
-class _CandidateDVState:
-    """The warm disjoint-value DAG of one candidate killing function.
+@dataclass
+class _ReachFrame(_SyncFrame):
+    """A sync frame of the reachability engine, :class:`_ReachDVState`."""
 
-    The Greedy-k heuristic evaluates the same few candidate labels
-    (greedy-k / canonical / schedule-induced) every reduction iteration, and
-    their killing functions rarely change between iterations.  For a fixed
-    killing function the killed graph only gains the pushed serial arcs, so
-    its longest paths -- and therefore the DV-DAG edges, which are threshold
-    tests on those paths -- grow monotonically.  This state keeps the killed
-    graph alive as an :class:`IncrementalAnalysis` mirror and stores the DV
-    relation as one bitset per killer; a push only rechecks the (killer,
-    value) pairs whose longest-path entry actually moved (reported by the
-    mirror's patch log).
+    #: op id -> its reach bitset before the sync, for each entry it grew.
+    reach: Dict[int, int] = field(default_factory=dict)
 
-    All per-op state is keyed by the op ids of the *bottom mirror's*
-    interner (shared with the killed mirror -- a copy of the bottom graph
-    interns identically, see :class:`~repro.analysis.interner.OpInterner`),
-    so the lp → DV-bit threshold scans and the
-    :class:`~repro.analysis.antichain.PersistentAntichain` feed run entirely
-    in id/bitset space with no string translation.
+
+class _DVState:
+    """What the two candidate DV engines share.
+
+    A candidate DV state keeps the disjoint-value DAG of one Greedy-k
+    candidate label's killing function warm across the owning
+    :class:`IncrementalSaturation`'s pushes and pops.  The relation lives
+    as one bitset per killer over the value indices of ``_values``; the
+    DV condition ``lp(k(u), v) >= delta_r(k(u)) - delta_w(v)`` depends on
+    ``u`` only through its killer, so values sharing a killer share the
+    killer's bitset (minus their own bit).  A
+    :class:`~repro.analysis.antichain.PersistentAntichain` holds its
+    closure and maximum antichain.
 
     Base-graph pushes are mirrored *lazily*: :meth:`defer_sync` queues the
     arcs and :meth:`ensure_synced` replays them in order only when the
-    candidate is actually evaluated with an unchanged killing function; a
-    changed one is re-targeted by :meth:`patch` first, which then replays
-    them onto the new function.  A state that is instead rebuilt -- or
-    popped before evaluation -- never pays for the mirror push at all
-    (counted as ``dv_syncs_skipped``).  Each sync opens an undo frame
-    (killed-mirror push, engine push, copy-on-write killer bits), so the
-    state also survives the owning session's pop instead of being
-    discarded and rebuilt.
+    candidate is evaluated with an unchanged killing function; a changed
+    one is re-targeted by ``patch``, which takes the queued pushes in too.
+    A state that is instead rebuilt -- or popped before evaluation --
+    never pays for them at all (counted as ``dv_syncs_skipped``).  Each
+    sync opens one undo frame in ``_frames``, no-ops included, so the
+    state survives the owner's pop.  ``rebuild`` and ``patch`` start a new
+    baseline: a pop below them makes :meth:`pop_frame` return False, and
+    the owner discards the state.
 
-    The DV condition ``lp(k(u), v) >= delta_r(k(u)) - delta_w(v)`` depends
-    on ``u`` only through its killer, so values sharing a killer share the
-    killer's bitset (minus their own bit).
+    The engines provide ``rebuild``, ``patch``, ``sync`` and ``_undo``, and
+    take the same reuse/patch/rebuild decisions on the same inputs.
     """
+
+    #: The killed graph's warm longest-path analysis (longest-path engine
+    #: only; the generic fallback reads its graph).
+    analysis: Optional[IncrementalAnalysis] = None
 
     def __init__(
         self,
         values: Tuple[Value, ...],
-        node_index: Mapping[str, int],
-        delta_w: Mapping[int, int],
         stats: Optional[MutableMapping[str, int]] = None,
     ) -> None:
         self._values = values
-        self._node_index = node_index
-        self._delta_w = delta_w
-        #: delta_w as a flat list over value indices (the hot threshold scan).
-        self._dw: List[int] = [delta_w[i] for i in range(len(values))]
+        self._value_mask = (1 << len(values)) - 1
         self._stats = stats
         self.valid = False
         self.cyclic = False
         self.kf_mapping: Optional[Dict[Value, str]] = None
         self._pk_ref: Optional[Mapping[Value, List[str]]] = None
         self._pk_lists: Dict[Value, List[str]] = {}
-        self.analysis: Optional[IncrementalAnalysis] = None
-        self._interner: Optional[OpInterner] = None
-        #: op id -> value index (or -1), and its inverse over value indices.
-        self._opid_value: List[int] = []
-        self._value_opid: List[int] = []
-        self._killer_read: Dict[int, int] = {}
-        self._killer_bits: Dict[int, int] = {}
+        #: Killer key -> its DV bits (value ``j`` is bit ``j``; higher bits
+        #: are masked off by :meth:`dv_rows`): a dict over the killers, or
+        #: a list over every op id.
+        self._killer_bits: Union[Dict[int, int], List[int]] = {}
+        #: Value index -> its killer's key (None without a killer), and the
+        #: inverse, killer key -> the value indices it kills.
         self._killer_of: List[Optional[int]] = []
         self._killer_values: Dict[int, List[int]] = {}
-        #: (other id, killer id) -> number of values contributing that
-        #: killing arc.  The arc's latency is a pure function of the pair,
-        #: so the count is all the patch path needs to merge/unmerge the
-        #: killed graph's serial slots exactly like `killed_graph`'s
-        #: add_edge calls did.
-        self._arc_refs: Dict[Tuple[int, int], int] = {}
         self._engine: Optional[PersistentAntichain] = None
-        self._sync_frames: List[_CandidateFrame] = []
+        self._frames: List[_SyncFrame] = []
         #: Deferred base-graph pushes not yet mirrored (newest last; always
         #: newer than every materialised sync frame).
         self._pending: List[List[Edge]] = []
-
-    @staticmethod
-    def _killing_arc_refs(
-        kf, pk: Mapping[Value, List[str]], op_id: Callable[[str], int]
-    ) -> Dict[Tuple[int, int], int]:
-        """Refcounted (other, killer) id slots exactly as `killed_graph` adds them."""
-
-        from .pkill import killing_arc_slots  # local: avoids import cycle
-
-        refs: Dict[Tuple[int, int], int] = {}
-        for other, killer in killing_arc_slots(kf, pk):
-            slot = (op_id(other), op_id(killer))
-            refs[slot] = refs.get(slot, 0) + 1
-        return refs
 
     def _note_skipped(self, count: int) -> None:
         if count and self._stats is not None:
@@ -726,13 +723,19 @@ class _CandidateDVState:
         self._pending.append(edges)
 
     def ensure_synced(self) -> None:
-        """Replay the deferred pushes (in order) through :meth:`sync`."""
+        """Replay the deferred pushes (in order) through ``sync``."""
 
         if not self._pending:
             return
         pending, self._pending = self._pending, []
         for edges in pending:
             self.sync(edges)
+
+    def sync(self, edges) -> None:  # pragma: no cover - every engine overrides it
+        raise NotImplementedError
+
+    def _undo(self, frame) -> None:  # pragma: no cover - every engine overrides it
+        raise NotImplementedError
 
     def matches(self, kf, pk: Mapping[Value, List[str]]) -> bool:
         """Whether the stored state is exactly this killing function's.
@@ -754,30 +757,193 @@ class _CandidateDVState:
                 return False
         return True
 
+    def _adopt(self, kf, pk: Mapping[Value, List[str]]) -> None:
+        """Record *kf* and the pk lists of its values as the state's inputs."""
+
+        self.kf_mapping = dict(kf.mapping)
+        self._pk_ref = pk
+        self._pk_lists = {value: pk.get(value, []) for value in kf.mapping}
+
+    def _assign_killers(self, kf, key: Callable[[str], int]) -> None:
+        """(Re)derive the killer maps of *kf*, keyed by ``key(killer)``."""
+
+        killer_of: List[Optional[int]] = [None] * len(self._values)
+        killer_values: Dict[int, List[int]] = {}
+        for j, v in enumerate(self._values):
+            killer = kf.mapping.get(v)
+            if killer is None:
+                continue
+            kid = key(killer)
+            killer_of[j] = kid
+            killer_values.setdefault(kid, []).append(j)
+        self._killer_of = killer_of
+        self._killer_values = killer_values
+
+    def dv_rows(self) -> List[int]:
+        """The current DV relation as per-value successor bitsets."""
+
+        killer_bits, mask = self._killer_bits, self._value_mask
+        return [
+            0 if killer is None else killer_bits[killer] & mask & ~(1 << i)
+            for i, killer in enumerate(self._killer_of)
+        ]
+
+    def _replace_changed_rows(self, engine: PersistentAntichain, old_rows: List[int]) -> None:
+        """Hand *engine* the DV rows that differ from *old_rows* in one
+        ``replace_rows``, which keeps its closure and matching warm."""
+
+        new_rows = self.dv_rows()
+        engine.replace_rows(
+            new_rows,
+            [i for i, (old, new) in enumerate(zip(old_rows, new_rows)) if old != new],
+        )
+
+    def _drop_warm(self) -> None:
+        """Cache a cyclic verdict and drop the warm machinery.
+
+        An invalid killing function stays invalid: cycles survive every
+        further arc addition, so the verdict holds until the killing
+        function itself changes, which then rebuilds the state.
+        """
+
+        self.cyclic = True
+        self._engine = None
+
+    def pop_frame(self) -> bool:
+        """Undo the most recent base push's effect; False when none remain.
+
+        A still-deferred push is simply dropped from the queue (it was never
+        mirrored -- that is the lazy win, counted as skipped); a materialised
+        frame is replayed.  A False return means the state was rebuilt or
+        patched *after* the push being undone, so the popped arcs are baked
+        into its baseline rather than framed -- the caller must discard the
+        state.
+        """
+
+        if self._pending:
+            self._pending.pop()
+            self._note_skipped(1)
+            return True
+        if not self._frames:
+            return False
+        frame = self._frames.pop()
+        if frame.engine_pushed and self._engine is not None:
+            self._engine.pop()
+        self._undo(frame)
+        self.cyclic = frame.was_cyclic
+        return True
+
+    def antichain(self):
+        """The maximum DV antichain, or the generic-fallback sentinel.
+
+        Identical to ``saturating_antichain`` on the same killed graph: the
+        persistent engine's running closure has the same content as the
+        pair-set closure, and the Koenig sets it extracts are invariant
+        across maximum matchings (see
+        :class:`~repro.analysis.antichain.PersistentAntichain`), so the
+        repaired matching reports the same antichain the from-scratch
+        matching would.
+        """
+
+        engine = self._engine
+        if engine is None:
+            return _GENERIC_FALLBACK
+        indices = engine.antichain_indices()
+        if indices is None:
+            # A cycle in the DV relation (possible only in exotic
+            # negative-latency configurations) defers to the generic path.
+            return _GENERIC_FALLBACK
+        values = self._values
+        return [values[i] for i in indices]
+
+    def antichain_from_scratch(self):
+        """The PR-2 per-call pipeline on the current DV rows (reference path)."""
+
+        indices = antichain_indices_from_rows(self.dv_rows())
+        if indices is None:
+            return _GENERIC_FALLBACK
+        values = self._values
+        return [values[i] for i in indices]
+
+
+class _CandidateDVState(_DVState):
+    """A candidate's DV-DAG from longest paths of its killed graph.
+
+    The exact engine for every input: non-zero read/write offsets (VLIW)
+    make the DV test a threshold on longest paths, and a negative arc
+    breaks its reduction to reachability, so
+    :class:`IncrementalSaturation` picks this engine whenever the input
+    has either (and :class:`_ReachDVState` otherwise, which the tests
+    check against this one).  For a fixed killing function the killed
+    graph only gains the pushed serial arcs, so its longest paths -- and
+    therefore the DV-DAG edges, which are threshold tests on those paths
+    -- grow monotonically.  This state keeps the killed graph alive as an
+    :class:`IncrementalAnalysis` mirror, seeds every killer's longest-path
+    row, and on a sync rechecks only the (killer, value) pairs whose
+    longest-path entry actually moved (reported by the mirror's patch
+    log).  Each sync frame holds the killed-mirror push, the engine push
+    and the copy-on-write killer bits.
+
+    All per-op state is keyed by the op ids of the *bottom mirror's*
+    interner (shared with the killed mirror -- a copy of the bottom graph
+    interns identically, see :class:`~repro.analysis.interner.OpInterner`),
+    so the lp → DV-bit threshold scans and the
+    :class:`~repro.analysis.antichain.PersistentAntichain` feed run entirely
+    in id/bitset space with no string translation.
+    """
+
+    def __init__(
+        self,
+        values: Tuple[Value, ...],
+        delta_w: Mapping[int, int],
+        stats: Optional[MutableMapping[str, int]] = None,
+    ) -> None:
+        super().__init__(values, stats)
+        #: delta_w as a flat list over value indices (the hot threshold scan).
+        self._dw: List[int] = [delta_w[i] for i in range(len(values))]
+        self._interner: Optional[OpInterner] = None
+        #: op id -> value index (or -1), and its inverse over value indices.
+        self._opid_value: List[int] = []
+        self._value_opid: List[int] = []
+        self._killer_read: Dict[int, int] = {}
+        #: (other id, killer id) -> number of values contributing that
+        #: killing arc.  The arc's latency is a pure function of the pair,
+        #: so the count is all the patch path needs to merge/unmerge the
+        #: killed graph's serial slots exactly like `killed_graph`'s
+        #: add_edge calls did.
+        self._arc_refs: Dict[Tuple[int, int], int] = {}
+
+    @staticmethod
+    def _killing_arc_refs(
+        kf, pk: Mapping[Value, List[str]], op_id: Callable[[str], int]
+    ) -> Dict[Tuple[int, int], int]:
+        """Refcounted (other, killer) id slots exactly as `killed_graph` adds them."""
+
+        from .pkill import killing_arc_slots  # local: avoids import cycle
+
+        refs: Dict[Tuple[int, int], int] = {}
+        for other, killer in killing_arc_slots(kf, pk):
+            slot = (op_id(other), op_id(killer))
+            refs[slot] = refs.get(slot, 0) + 1
+        return refs
+
     def rebuild(self, bottom_ddg: DDG, kf, pk: Mapping[Value, List[str]]) -> None:
         from .pkill import killed_graph  # local: avoids import cycle
 
-        self._sync_frames = []
+        self._frames = []
         # A rebuild bakes the base graph's current arcs into the fresh
         # killed copy, so any still-deferred mirror pushes are moot.
         self._note_skipped(len(self._pending))
         self._pending = []
-        self.kf_mapping = dict(kf.mapping)
-        self._pk_ref = pk
-        self._pk_lists = {value: pk.get(value, []) for value in kf.mapping}
+        self._adopt(kf, pk)
         interner = context_for(bottom_ddg).op_interner()
         self._interner = interner
         op_id = interner.id
         self._arc_refs = self._killing_arc_refs(kf, pk, op_id)
         killed = killed_graph(bottom_ddg, kf, pk=pk)
+        self.valid = True
         if not context_for(killed).is_acyclic():
-            # An invalid killing function stays invalid: cycles survive
-            # every further arc addition, so this is cached until the
-            # killing function itself changes.
-            self.cyclic = True
-            self.analysis = None
-            self._engine = None
-            self.valid = True
+            self._drop_warm()
             return
         self.cyclic = False
         # Reachability tracking is skipped: the sync's cycle test reads the
@@ -804,7 +970,6 @@ class _CandidateDVState:
             for kid in sorted(self._killer_read)
         }
         self._engine = PersistentAntichain(len(self._values), rows=self.dv_rows())
-        self.valid = True
 
     def _set_killer_structures(self, kf, killed: DDG) -> None:
         """(Re)derive killer assignment maps from *kf* (cheap, O(values))."""
@@ -812,16 +977,7 @@ class _CandidateDVState:
         if self._interner is None:
             raise RuntimeError("killer structures derived before rebuild() interned the graph")
         op_id = self._interner.id
-        killer_of: List[Optional[int]] = [None] * len(self._values)
-        self._killer_values = {}
-        for j, v in enumerate(self._values):
-            killer = kf.mapping.get(v)
-            if killer is None:
-                continue
-            kid = op_id(killer)
-            killer_of[j] = kid
-            self._killer_values.setdefault(kid, []).append(j)
-        self._killer_of = killer_of
+        self._assign_killers(kf, op_id)
         self._killer_read = {
             op_id(k): killed.operation(k).delta_r for k in set(kf.mapping.values())
         }
@@ -915,11 +1071,9 @@ class _CandidateDVState:
             grew = grew or current is None
             changed_sources.append(slot[0])
 
-        self.kf_mapping = dict(kf.mapping)
-        self._pk_ref = pk
-        self._pk_lists = {value: pk.get(value, []) for value in kf.mapping}
+        self._adopt(kf, pk)
         self._arc_refs = new_refs
-        self._sync_frames = []
+        self._frames = []
         engine.clear_frames()
         pending, self._pending = self._pending, []
         if grew and not analysis.is_acyclic():
@@ -959,7 +1113,7 @@ class _CandidateDVState:
         for edges in pending:
             self.sync(edges)
         self._engine = engine
-        self._sync_frames = []
+        self._frames = []
         analysis.rebase()
         if self.cyclic:
             self._drop_warm()
@@ -969,40 +1123,18 @@ class _CandidateDVState:
             bits[killer_id] = self._mask_from_row(
                 analysis.row(killer_id), self._killer_read[killer_id]
             )
-        new_rows = self.dv_rows()
-        engine.replace_rows(
-            new_rows,
-            [i for i, (old, new) in enumerate(zip(old_rows, new_rows)) if old != new],
-        )
+        self._replace_changed_rows(engine, old_rows)
         return True
 
     def _drop_warm(self) -> None:
-        """Cache a cyclic verdict: the killed mirror and engine are dropped."""
-
-        self.cyclic = True
+        super()._drop_warm()
         self.analysis = None
-        self._engine = None
-
-    def dv_rows(self) -> List[int]:
-        """The current DV relation as per-value successor bitsets."""
-
-        killer_bits = self._killer_bits
-        return [
-            0 if killer is None else killer_bits[killer] & ~(1 << i)
-            for i, killer in enumerate(self._killer_of)
-        ]
 
     def sync(self, edges) -> None:
-        """Mirror a push of the base graph; recheck only the moved lp entries.
-
-        Every call -- including the early-returned no-ops -- appends one
-        undo frame, keeping the frame stack (plus the deferred queue)
-        aligned with the owning session's push depth so :meth:`pop_frame`
-        can replay it exactly.
-        """
+        """Mirror a push of the base graph; recheck only the moved lp entries."""
 
         frame = _CandidateFrame(was_cyclic=self.cyclic)
-        self._sync_frames.append(frame)
+        self._frames.append(frame)
         if not self.valid or self.cyclic or self.analysis is None:
             return
         analysis = self.analysis
@@ -1057,64 +1189,274 @@ class _CandidateDVState:
                 for i in self._killer_values.get(sid, ()):
                     engine.insert_mask(i, added & ~(1 << i))
 
-    def pop_frame(self) -> bool:
-        """Undo the most recent base push's effect; False when none remain.
-
-        A still-deferred push is simply dropped from the queue (it was never
-        mirrored -- that is the lazy win, counted as skipped); a materialised
-        frame is replayed.  A False return means the state was rebuilt or
-        patched *after* the push being undone, so its killed mirror has the
-        popped arcs baked in rather than framed -- the caller must discard
-        the state.
-        """
-
-        if self._pending:
-            self._pending.pop()
-            self._note_skipped(1)
-            return True
-        if not self._sync_frames:
-            return False
-        frame = self._sync_frames.pop()
-        if frame.engine_pushed and self._engine is not None:
-            self._engine.pop()
+    def _undo(self, frame: _CandidateFrame) -> None:
         if frame.analysis_pushed and self.analysis is not None:
             self.analysis.pop()
         if frame.bits is not None:
             self._killer_bits = frame.bits
-        self.cyclic = frame.was_cyclic
-        return True
 
-    def antichain(self):
-        """The maximum DV antichain, or the generic-fallback sentinel.
 
-        Identical to ``saturating_antichain`` on the same killed graph: the
-        persistent engine's running closure has the same content as the
-        pair-set closure, and the Koenig sets it extracts are invariant
-        across maximum matchings (see
-        :class:`~repro.analysis.antichain.PersistentAntichain`), so the
-        repaired matching reports the same antichain the from-scratch
-        matching would.
+class _ReachDVState(_DVState):
+    """A candidate's DV-DAG from reachability bitsets of its killed graph.
+
+    :class:`IncrementalSaturation` picks this engine while every op reads
+    and writes at offset 0 and no arc is negative -- any superscalar or
+    EPIC target, and every benchmark workload.  There the longest-path
+    test of :class:`_CandidateDVState` is plain reachability:
+
+    * with ``delta_r = delta_w = 0``, every threshold
+      ``delta_r(k(u)) - delta_w(v)`` is 0;
+    * killing arcs have latency ``delta_r(o) - delta_r(k) = 0``;
+    * the reduction loop's serialization arcs have latency 0 in
+      ``offsets`` mode and 1 in ``sequential`` mode;
+    * so, with no negative base arc, every path of ``G→k`` has length
+      >= 0, and ``lp(k, v) >= 0`` holds exactly when ``v`` is reachable
+      from ``k`` -- ``v = k`` included, at length 0;
+    * therefore a killer's DV bits are ``reach(k) ∩ values``, minus each
+      value's own bit: on such graphs, exactly what
+      :func:`~repro.analysis.flatbuf.threshold_mask` and
+      :meth:`_CandidateDVState.dv_rows` compute;
+    * ``G→k`` is cyclic exactly when a DFS finds a back arc, and a pushed
+      arc ``a → t`` closes a cycle exactly when ``t`` already reaches
+      ``a``.
+
+    **Layout.**  ``_killer_bits`` is the reach table: one entry per op id
+    of the bottom mirror, holding the ops it reaches in ``G→k`` (itself
+    included) as a bitset over *bit positions*.  Values take positions
+    ``0 .. nv-1`` in ``_values`` order and the other ops follow, so a
+    killer's DV row is its entry masked to the low ``nv`` bits, with no
+    translation step.
+
+    **Rebuild and patch.**  Both build the successor lists of ``G→k`` from
+    the bottom mirror's flat adjacency plus the killing slots, then close
+    them in one iterative DFS post-order, which also finds a cycle.  No
+    DDG is copied and no longest path is computed.  The mirror already
+    holds every deferred push, so a patch simply closes the new function's
+    graph on it and hands the antichain engine the changed DV rows in one
+    :meth:`~repro.analysis.antichain.PersistentAntichain.replace_rows`; a
+    rebuild seeds a new engine.
+
+    **Sync.**  Per pushed arc ``a → t``: a cycle if bit ``a`` is set in
+    ``reach[t]``; otherwise every entry holding bit ``a`` gains
+    ``reach[t]``.  The frame logs the old value of each entry a sync
+    grows, and the value bits each killer gained go to
+    :meth:`~repro.analysis.antichain.PersistentAntichain.insert_mask`.
+    """
+
+    def __init__(
+        self,
+        values: Tuple[Value, ...],
+        mirror: IncrementalAnalysis,
+        stats: Optional[MutableMapping[str, int]] = None,
+    ) -> None:
+        super().__init__(values, stats)
+        #: The owner's bottom mirror: the only graph this engine reads.
+        self._mirror = mirror
+        op_id = mirror.op_id
+        position = {op_id(v.node): j for j, v in enumerate(values)}
+        nxt = len(values)
+        #: op id -> the one-bit mask of its bit position.
+        self._bit: List[int] = []
+        for i in range(mirror.interner.size):
+            j = position.get(i)
+            if j is None:
+                j, nxt = nxt, nxt + 1
+            self._bit.append(1 << j)
+        self._killer_bits: List[int] = []
+
+    def _successors(self, kf, pk: Mapping[Value, List[str]]) -> List[List[int]]:
+        """Out-lists of ``G→k`` over op ids: the mirror's arcs plus the killing slots."""
+
+        from .pkill import killing_arc_slots  # local: avoids import cycle
+
+        mirror = self._mirror
+        succ = [[dst for dst, _w in pairs] for pairs in mirror._adj_pairs()]
+        op_id = mirror.op_id
+        for other, killer in killing_arc_slots(kf, pk):
+            succ[op_id(other)].append(op_id(killer))
+        return succ
+
+    def _closure(self, succ: List[List[int]]) -> Optional[List[int]]:
+        """The reach table of the graph *succ*, or None when it has a cycle.
+
+        One iterative DFS: an op's entry is its own bit OR its successors'
+        entries, filled in post-order; meeting an op still on the DFS path
+        is a back arc, hence a cycle.
+        """
+
+        bit = self._bit
+        n = len(succ)
+        reach = [0] * n
+        state = [0] * n  # 0: unseen, 1: on the DFS path, 2: closed
+        for root in range(n):
+            if state[root]:
+                continue
+            state[root] = 1
+            path = [root]
+            todo = [iter(succ[root])]
+            while path:
+                for w in todo[-1]:
+                    seen = state[w]
+                    if not seen:
+                        state[w] = 1
+                        path.append(w)
+                        todo.append(iter(succ[w]))
+                        break
+                    if seen == 1:
+                        return None
+                else:
+                    v = path.pop()
+                    todo.pop()
+                    r = bit[v]
+                    for w in succ[v]:
+                        r |= reach[w]
+                    reach[v] = r
+                    state[v] = 2
+        return reach
+
+    def _check_mirror(self, bottom_ddg: DDG) -> None:
+        if bottom_ddg is not self._mirror.ddg:
+            raise ValueError("a reachability DV state reads only its owner's bottom mirror")
+
+    def rebuild(self, bottom_ddg: DDG, kf, pk: Mapping[Value, List[str]]) -> None:
+        self._check_mirror(bottom_ddg)
+        self._frames = []
+        # The table is closed on the current mirror, which already holds
+        # every deferred push.
+        self._note_skipped(len(self._pending))
+        self._pending = []
+        self._adopt(kf, pk)
+        self.valid = True
+        reach = self._closure(self._successors(kf, pk))
+        if reach is None:
+            self._drop_warm()
+            return
+        self.cyclic = False
+        self._killer_bits = reach
+        self._assign_killers(kf, self._mirror.op_id)
+        self._engine = PersistentAntichain(len(self._values), rows=self.dv_rows())
+
+    def patch(self, bottom_ddg: DDG, kf, pk: Mapping[Value, List[str]]) -> bool:
+        """Re-target the warm state onto a new killing function.
+
+        Closes the new function's ``G→k`` on the current mirror, deferred
+        pushes included, and keeps the antichain engine warm through one
+        ``replace_rows``.  Returns False, so that the caller rebuilds,
+        exactly when the longest-path engine's patch would: with no warm
+        acyclic state to re-target.
         """
 
         engine = self._engine
-        if engine is None:
-            return _GENERIC_FALLBACK
-        indices = engine.antichain_indices()
-        if indices is None:
-            # A cycle in the DV relation (possible only in exotic
-            # negative-latency configurations) defers to the generic path.
-            return _GENERIC_FALLBACK
-        values = self._values
-        return [values[i] for i in indices]
+        if not self.valid or self.cyclic or engine is None:
+            return False
+        self._check_mirror(bottom_ddg)
+        old_rows = self.dv_rows()
+        old_mapping, old_pk = self.kf_mapping, self._pk_lists
+        deferred, self._pending = len(self._pending), []
+        self._frames = []
+        engine.clear_frames()
+        self._adopt(kf, pk)
+        reach = self._closure(self._successors(kf, pk))
+        if reach is None:
+            if deferred and self._slot_diff_cyclic(old_mapping, old_pk, kf, pk, deferred):
+                self._note_skipped(deferred)
+            self._drop_warm()
+            return True
+        self._killer_bits = reach
+        self._assign_killers(kf, self._mirror.op_id)
+        self._replace_changed_rows(engine, old_rows)
+        return True
 
-    def antichain_from_scratch(self):
-        """The PR-2 per-call pipeline on the current DV rows (reference path)."""
+    def _slot_diff_cyclic(self, old_mapping, old_pk, kf, pk, deferred: int) -> bool:
+        """Whether the longest-path engine's patch would skip the deferred pushes.
 
-        indices = antichain_indices_from_rows(self.dv_rows())
-        if indices is None:
-            return _GENERIC_FALLBACK
-        values = self._values
-        return [values[i] for i in indices]
+        That engine re-targets its killed mirror at the last synced depth,
+        before it replays the *deferred* pushes, and counts them in
+        ``dv_syncs_skipped`` when a killing slot it had to add closes a
+        cycle there; a cycle that only a replayed arc closes costs no skip.
+        Only that counter depends on the difference, so this is worked out
+        only when the final ``G→k`` is cyclic.  The synced-depth graph is
+        the mirror without the arcs the deferred pushes added, and a
+        dropped slot keeps the mirror's own serial arc, deferred or not:
+        that engine reads it from the current mirror.
+        """
+
+        from .pkill import killing_arc_slots  # local: avoids import cycle
+
+        mirror = self._mirror
+        g, op_id, name_of = mirror.ddg, mirror.op_id, mirror.interner.name
+        succ = [[dst for dst, _w in pairs] for pairs in mirror._adj_pairs()]
+        deferred_serial: Set[Tuple[int, int]] = set()
+        for frame in mirror._frames[len(mirror._frames) - deferred:]:
+            for record in frame.records:
+                if record.replaced is None:
+                    edge = record.edge
+                    arc = (op_id(edge.src), op_id(edge.dst))
+                    succ[arc[0]].remove(arc[1])
+                    if edge.kind is DependenceKind.SERIAL and edge.rtype is None:
+                        deferred_serial.add(arc)
+
+        def mirror_serial(arc: Tuple[int, int]) -> bool:
+            return any(
+                e.kind is DependenceKind.SERIAL and e.rtype is None
+                for e in g.edges_between(name_of(arc[0]), name_of(arc[1]))
+            )
+
+        def slots(mapping, pk_lists) -> Set[Tuple[int, int]]:
+            return {(op_id(o), op_id(k)) for o, k in killing_arc_slots(mapping, pk_lists)}
+
+        old, new = slots(old_mapping, old_pk), slots(kf, pk)
+        if all(mirror_serial(s) and s not in deferred_serial for s in new - old):
+            return False  # no slot was added, so the diff closed no cycle
+        for arc in new | {s for s in old - new if mirror_serial(s)}:
+            succ[arc[0]].append(arc[1])
+        return self._closure(succ) is None
+
+    def sync(self, edges) -> None:
+        """Mirror a push of the base graph by ORing reach sets."""
+
+        frame = _ReachFrame(was_cyclic=self.cyclic)
+        self._frames.append(frame)
+        engine = self._engine
+        if not self.valid or self.cyclic or engine is None:
+            return
+        reach, bit, op_id = self._killer_bits, self._bit, self._mirror.op_id
+        log = frame.reach
+        for edge in edges:
+            a, t = op_id(edge.src), op_id(edge.dst)
+            gained, above = reach[t], bit[a]
+            if gained & above:
+                # t reaches a: the arc closes a cycle.  The frame's log
+                # restores the entries earlier arcs grew.
+                self.cyclic = True
+                return
+            if reach[a] & bit[t]:
+                continue  # a reaches t already, and with it all of reach[t]
+            for x, rx in enumerate(reach):
+                if rx & above and gained & ~rx:
+                    if x not in log:
+                        log[x] = rx
+                    reach[x] = rx | gained
+        if not log:
+            return
+        engine.push()
+        frame.engine_pushed = True
+        killer_values, mask = self._killer_values, self._value_mask
+        for x, old in log.items():
+            killed = killer_values.get(x)
+            if killed is None:
+                continue
+            added = reach[x] & mask & ~old
+            if added:
+                # New DV arcs i -> j for every value i that x kills and
+                # every value j that x newly reaches.
+                for i in killed:
+                    engine.insert_mask(i, added & ~(1 << i))
+
+    def _undo(self, frame: _ReachFrame) -> None:
+        reach = self._killer_bits
+        for x, old in frame.reach.items():
+            reach[x] = old
 
 
 class IncrementalSaturation:
@@ -1144,13 +1486,19 @@ class IncrementalSaturation:
       killers' ASAP times moved.
 
     :meth:`candidate_functions` hands the three candidate functions to
-    Greedy-k, and one warm :class:`_CandidateDVState` per candidate label
-    evaluates them (synced lazily on evaluation; when its killing function
-    drifts, :meth:`_CandidateDVState.patch` re-targets it and then replays
-    the deferred pushes, so it is built from scratch only while cold or
-    while its cached killing function is cyclic).  ``stats`` counts the
-    warm-path hits and ``timings`` accumulates monotonic per-stage wall
-    clock, both surfaced in ``ReductionResult.details["engine_stats"]``.
+    Greedy-k, and one warm candidate DV state per candidate label
+    evaluates them: synced lazily on evaluation, re-targeted by ``patch``
+    when its killing function drifts, and built from scratch only while
+    cold or while its cached killing function is cyclic.  The input picks
+    the engine.  While every op reads and writes at offset 0 and no arc
+    is negative, the DV test is reachability in the killed graph and
+    :class:`_ReachDVState` answers from bitsets over the mirror; any
+    other input -- VLIW offsets, or a negative arc, also one pushed later
+    -- gets the longest-path engine, :class:`_CandidateDVState`, for the
+    rest of the session.  Both take the same reuse/patch/rebuild
+    decisions.  ``stats`` counts the warm-path hits and ``timings``
+    accumulates monotonic per-stage wall clock, both surfaced in
+    ``ReductionResult.details["engine_stats"]``.
     """
 
     def __init__(self, working: DDG, rtype: RegisterType | str) -> None:
@@ -1191,7 +1539,13 @@ class IncrementalSaturation:
         self._delta_w: Dict[int, int] = {
             i: mirror.operation(v.node).delta_w for i, v in enumerate(self._values)
         }
-        self._candidate_states: Dict[str, _CandidateDVState] = {}
+        self._candidate_states: Dict[str, _DVState] = {}
+        #: Whether the candidates' DV relations are killed-graph
+        #: reachability (see :class:`_ReachDVState`).  A negative pushed
+        #: arc clears it for the rest of the session.
+        self._reach_dv = all(
+            op.delta_r == 0 and op.delta_w == 0 for op in mirror.operations()
+        ) and all(e.latency >= 0 for e in mirror.edges())
         self.stats: Dict[str, int] = {
             "dv_rebuilds": 0,
             "dv_reuses": 0,
@@ -1347,6 +1701,11 @@ class IncrementalSaturation:
 
         edges = list(edges)
         self._ensure_pk()
+        if self._reach_dv and any(e.latency < 0 for e in edges):
+            # Reachability no longer decides the DV test: longest-path
+            # states replace the warm ones from the next evaluation on.
+            self._reach_dv = False
+            self._candidate_states.clear()
         t0 = time.perf_counter()
         frame = self._mirror.push(edges)
         g = self._working
@@ -1371,9 +1730,9 @@ class IncrementalSaturation:
         if stale:
             self._rechoose_fixed(stale)
         self.timings["killing_functions"] += time.perf_counter() - t1
-        # Candidate killed mirrors are synced lazily: the push is queued
-        # here (O(1)) and mirrored only if/when the candidate is evaluated;
-        # see _CandidateDVState.defer_sync.
+        # Candidate DV states are synced lazily: the push is queued here
+        # (O(1)) and mirrored only if/when the candidate is evaluated; see
+        # _DVState.defer_sync.
         for state in self._candidate_states.values():
             state.defer_sync(edges)
         self._inject()
@@ -1393,11 +1752,11 @@ class IncrementalSaturation:
         self._kdv = kdv  # type: ignore[assignment]
         self._canonical = canonical  # type: ignore[assignment]
         self._induced = induced  # type: ignore[assignment]
-        # Candidate DV states replay their per-push undo frame (killed
-        # mirror, killer bits, persistent antichain engine) or just drop the
-        # still-deferred push; a state rebuilt or patched deeper than the
-        # restored depth has the popped arcs baked into its killed graph and
-        # must be discarded instead.
+        # Candidate DV states replay their per-push undo frame (killer bits
+        # or reach entries, killed mirror, persistent antichain engine) or
+        # just drop the still-deferred push; a state rebuilt or patched
+        # deeper than the restored depth has the popped arcs baked into its
+        # baseline and must be discarded instead.
         dead = [
             label
             for label, state in self._candidate_states.items()
@@ -1459,9 +1818,10 @@ class IncrementalSaturation:
             raise RuntimeError("potential killers missing after _ensure_pk()")
         state = self._candidate_states.get(label)
         if state is None:
-            state = _CandidateDVState(
-                self._values, self._node_index, self._delta_w, stats=self.stats
-            )
+            if self._reach_dv:
+                state = _ReachDVState(self._values, self._mirror, stats=self.stats)
+            else:
+                state = _CandidateDVState(self._values, self._delta_w, stats=self.stats)
             self._candidate_states[label] = state
         t0 = time.perf_counter()
         if state.matches(kf, self._pk):
@@ -1485,12 +1845,13 @@ class IncrementalSaturation:
         self.timings["dv_antichain"] += time.perf_counter() - t0
         if result is _GENERIC_FALLBACK:  # pragma: no cover - exotic latencies
             from .dvk import saturating_antichain
+            from .pkill import killed_graph
 
-            if state.analysis is None:
-                raise RuntimeError(f"candidate {label!r} has no killed graph to fall back on")
-            antichain, _ = saturating_antichain(
-                self._mirror.ddg, kf, killed=state.analysis.ddg
-            )
+            if state.analysis is not None:
+                killed = state.analysis.ddg
+            else:
+                killed = killed_graph(self._mirror.ddg, kf, pk=self._pk)
+            antichain, _ = saturating_antichain(self._mirror.ddg, kf, killed=killed)
             return antichain
         return result
 

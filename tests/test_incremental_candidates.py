@@ -1,13 +1,18 @@
-"""Property tests for the incremental Greedy-k candidate engine (PR 5).
+"""Property tests for the incremental Greedy-k candidate engine.
 
 Two warm paths replaced from-scratch recomputation inside the reduction
 loop's candidate machinery, and each must be byte-identical to the cold
 path it replaced:
 
-* ``_CandidateDVState.patch`` re-targets a warm killed-graph mirror onto a
-  changed killing function by rewriting only the killing-arc slots that
-  moved, then replays the deferred pushes -- the patched killed graph, DV
-  rows and extracted antichain must equal a full :meth:`rebuild`'s;
+* a candidate DV state's ``patch`` re-targets it onto a changed killing
+  function -- the patched DV rows, cyclic verdict and extracted antichain
+  must equal a full ``rebuild``'s.  The longest-path engine
+  (``_CandidateDVState``) rewrites only the killing-arc slots of its
+  killed-graph mirror that moved, then replays the deferred pushes, and
+  its patched killed graph must equal a rebuild's too; it is checked on
+  an offset-1 VLIW retarget, its input.  The reachability engine
+  (``_ReachDVState``) answers zero-offset inputs, and each of those tests
+  has a zero-offset twin on it;
 * the session's pair-verdict worklist re-uses ``consider`` verdicts for
   pairs untouched by the applied serialization -- every (possibly cached)
   verdict must equal a cold session's on the same graph.
@@ -25,6 +30,11 @@ The tests drive the real heuristic loop (via ``_SessionDriver`` /
 ``_HeuristicLoop``) so the exercised kf deltas are the ones production
 takes, and they assert the warm paths actually fired (a silently dead patch
 path would pass any equality check).
+
+The reachability engine is also checked against the longest-path engine
+and the cold ``saturating_antichain`` after every step of random push /
+pop / killing-function interleavings, and the engine each input selects
+is pinned per candidate label.
 """
 
 from __future__ import annotations
@@ -36,15 +46,20 @@ import pytest
 
 from repro.analysis.context import context_for
 from repro.codes.generator import layered_random_ddg, random_superblock
+from repro.core.graph import Edge
 from repro.core.machine import retarget, vliw
 from repro.core.schedule import asap_schedule, list_schedule_priority
-from repro.core.types import INT
+from repro.core.types import BOTTOM, INT, DependenceKind
 from repro.reduction import ReductionSession, reduce_saturation_heuristic
 from repro.reduction.heuristic import _HeuristicLoop, _SessionDriver
 from repro.reduction.serialization import SerializationMode
 from repro.saturation.dvk import saturating_antichain
 from repro.saturation.greedy import greedy_killing_function, greedy_saturation
-from repro.saturation.incremental import _CandidateDVState
+from repro.saturation.incremental import (
+    IncrementalSaturation,
+    _CandidateDVState,
+    _ReachDVState,
+)
 from repro.saturation.pkill import (
     KillingFunction,
     canonical_killing_function,
@@ -71,13 +86,33 @@ def _drive_loop(ddg, rtype, budget, on_iteration=None, max_iterations=500):
     return driver
 
 
+def _on_lp_engine(ddg):
+    """*ddg* on a VLIW whose ops all read and write at offset 1.
+
+    Every DV threshold and serialization latency is then 0, as with zero
+    offsets, so the reduction takes the same path; the offsets select the
+    longest-path engine.
+    """
+
+    return retarget(ddg, vliw(read_offset=1))
+
+
+def _fresh_state(saturation, engine):
+    """A cold DV state of *engine* over the session's bottom mirror."""
+
+    if engine is _ReachDVState:
+        return _ReachDVState(saturation._values, saturation.mirror)
+    return _CandidateDVState(saturation._values, saturation._delta_w)
+
+
 class TestCandidatePatchEqualsRebuild:
     """A patched DV state must be indistinguishable from a rebuilt one."""
 
-    def _check_states(self, session):
+    def _check_states(self, session, engine):
         saturation = session._saturation
         pk = saturation._pk
         for label, state in saturation._candidate_states.items():
+            assert type(state) is engine, label
             if not state.valid or state.kf_mapping is None:
                 continue
             # A state skipped as a repeated candidate still queues the
@@ -89,14 +124,13 @@ class TestCandidatePatchEqualsRebuild:
                 killed = killed_graph(saturation.mirror_ddg, kf, pk=pk)
                 assert not context_for(killed).is_acyclic(), label
                 continue
-            reference = _CandidateDVState(
-                saturation._values, saturation._node_index, saturation._delta_w
-            )
+            reference = _fresh_state(saturation, engine)
             reference.rebuild(saturation.mirror_ddg, kf, pk)
             assert not reference.cyclic, label
-            assert _edge_key(state.analysis.ddg) == _edge_key(reference.analysis.ddg), (
-                f"patched killed graph diverges from rebuild on {label!r}"
-            )
+            if engine is _CandidateDVState:
+                assert _edge_key(state.analysis.ddg) == _edge_key(reference.analysis.ddg), (
+                    f"patched killed graph diverges from rebuild on {label!r}"
+                )
             assert state.dv_rows() == reference.dv_rows(), (
                 f"patched DV rows diverge from rebuild on {label!r}"
             )
@@ -104,23 +138,30 @@ class TestCandidatePatchEqualsRebuild:
                 state.antichain_from_scratch()
             ), f"patched antichain diverges on {label!r}"
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_patched_states_equal_rebuilt_states(self, seed):
-        ddg = layered_random_ddg(nodes=18 + seed, layers=4, seed=40 + seed)
+    def _patched_equal_rebuilt(self, ddg, engine):
         checked = {"iters": 0}
 
         def probe(_sat):
             checked["iters"] += 1
 
         driver = _drive_loop(ddg, INT, 2, on_iteration=probe)
-        self._check_states(driver.session)
+        self._check_states(driver.session, engine)
         assert checked["iters"] >= 1
 
-    def test_superblock_patches_fire_and_match(self):
-        ddg = random_superblock(operations=60, seed=3)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_patched_states_equal_rebuilt_states(self, seed):
+        ddg = layered_random_ddg(nodes=18 + seed, layers=4, seed=40 + seed)
+        self._patched_equal_rebuilt(_on_lp_engine(ddg), _CandidateDVState)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_patched_reach_states_equal_rebuilt_states(self, seed):
+        ddg = layered_random_ddg(nodes=18 + seed, layers=4, seed=40 + seed)
+        self._patched_equal_rebuilt(ddg, _ReachDVState)
+
+    def _superblock_patches(self, ddg, engine):
         driver = _drive_loop(ddg, INT, 6)
         session = driver.session
-        self._check_states(session)
+        self._check_states(session, engine)
         stats = session.saturation_stats
         # The warm paths must actually have been taken on a reduction-heavy
         # instance -- equality over a dead patch path proves nothing.
@@ -133,10 +174,14 @@ class TestCandidatePatchEqualsRebuild:
         # forced a rebuild, 9 more times on this run.
         assert stats["dv_rebuilds"] == 2
 
-    def test_patch_after_explicit_push_matches_rebuild(self):
-        """Patching across session pushes (synced killed mirrors) stays exact."""
+    def test_superblock_patches_fire_and_match(self):
+        ddg = random_superblock(operations=60, seed=3)
+        self._superblock_patches(_on_lp_engine(ddg), _CandidateDVState)
 
-        ddg = layered_random_ddg(nodes=20, layers=4, seed=7)
+    def test_superblock_reach_patches_fire_and_match(self):
+        self._superblock_patches(random_superblock(operations=60, seed=3), _ReachDVState)
+
+    def _patch_after_explicit_push(self, ddg, engine):
         session = ReductionSession(ddg, INT)
         sat = session.saturation()
         pushed = False
@@ -152,7 +197,17 @@ class TestCandidatePatchEqualsRebuild:
                 break
         assert pushed
         session.saturation()
-        self._check_states(session)
+        self._check_states(session, engine)
+
+    def test_patch_after_explicit_push_matches_rebuild(self):
+        """Patching across session pushes (synced killed mirrors) stays exact."""
+
+        ddg = layered_random_ddg(nodes=20, layers=4, seed=7)
+        self._patch_after_explicit_push(_on_lp_engine(ddg), _CandidateDVState)
+
+    def test_reach_patch_after_explicit_push_matches_rebuild(self):
+        ddg = layered_random_ddg(nodes=20, layers=4, seed=7)
+        self._patch_after_explicit_push(ddg, _ReachDVState)
 
 
 class TestPairVerdictWorklist:
@@ -393,3 +448,245 @@ class TestCounterSurfacing:
         timings = stats["stage_timings"]
         for stage in ("pair_scan", "dv_patch", "dv_rebuild"):
             assert stage in timings and timings[stage] >= 0.0
+
+
+def _arc_pool(ddg, rng, count=24):
+    """Random serial arcs along one topological order of *ddg* (acyclic in
+    any mix), of latency 0 or 1 like the reduction's serializations."""
+
+    topo = context_for(ddg).topological_order()
+    pos = {name: i for i, name in enumerate(topo)}
+    pool = []
+    for _ in range(count):
+        a, b = rng.sample(topo, 2)
+        if pos[a] > pos[b]:
+            a, b = b, a
+        pool.append(Edge(a, b, rng.randint(0, 1), DependenceKind.SERIAL, None))
+    return pool
+
+
+def _cycle_closing_arc(sat, mapping, pk, rng):
+    """An arc ``a → t`` the mirror takes without a cycle, though ``t``
+    already reaches ``a`` in the killed graph of *mapping* (None if none)."""
+
+    mirror = sat.mirror_ddg
+    killed = killed_graph(mirror, KillingFunction(INT, mapping), pk=pk)
+    base = sat.mirror.descendants_incl()
+    nodes = [n for n in mirror.nodes() if n != BOTTOM]
+    pairs = []
+    for t in nodes:
+        # Reachability by DFS: deferred pushes may have made G→k cyclic.
+        down, stack = {t}, [t]
+        while stack:
+            for w in killed.successors(stack.pop()):
+                if w not in down:
+                    down.add(w)
+                    stack.append(w)
+        pairs += [(a, t) for a in nodes if a != t and a in down and a not in base[t]]
+    if not pairs:
+        return None
+    a, t = rng.choice(pairs)
+    return Edge(a, t, 0, DependenceKind.SERIAL, None)
+
+
+class TestReachEngineOracle:
+    """The reachability engine against the longest-path engine and the cold path.
+
+    Random interleavings of pushes (some closing a cycle in a candidate's
+    killed graph), pops (some below a patch or rebuild), evaluations of the
+    real candidates and of random killing functions, and explicit syncs.
+    After every step, every candidate state that is synced must report the
+    DV rows, cyclic verdict and antichain of an lp ``_CandidateDVState``
+    rebuilt on the same mirror, killing function and pk, and the antichain
+    of ``saturating_antichain`` on the cold killed graph.
+    """
+
+    @staticmethod
+    def _check(sat, seen, label):
+        mirror = sat.mirror_ddg
+        for name, state in sat._candidate_states.items():
+            assert type(state) is _ReachDVState, f"{label} {name}"
+            if not state.valid or state._pending:
+                continue
+            kf = KillingFunction(INT, state.kf_mapping)
+            pk = state._pk_lists
+            lp = _CandidateDVState(sat._values, sat._delta_w)
+            lp.rebuild(mirror, kf, pk)
+            killed = killed_graph(mirror, kf, pk=pk)
+            cyclic = not context_for(killed).is_acyclic()
+            assert state.cyclic == lp.cyclic == cyclic, f"{label} {name}"
+            seen["checked"] += 1
+            if cyclic:
+                seen["cyclic"] += 1
+                continue
+            assert state.dv_rows() == lp.dv_rows(), f"{label} {name}"
+            cold, _dag = saturating_antichain(mirror, kf, killed)
+            assert state.antichain() == lp.antichain() == cold, f"{label} {name}"
+
+    def _run(self, ddg, rng, steps, seen):
+        """Drive *ddg* and, in lock-step, its offset-1 retarget, which the
+        longest-path engine answers with the same decisions and counters."""
+
+        sat = IncrementalSaturation(ddg.copy(), INT)
+        twin = IncrementalSaturation(_on_lp_engine(ddg), INT)
+        both = (sat, twin)
+        pool = _arc_pool(ddg, rng)
+        for s in both:
+            s.saturation()
+        for step in range(steps):
+            label = f"{ddg.name} step {step}"
+            op = rng.random()
+            if op < 0.2 and sat._frames:
+                before = set(sat._candidate_states)
+                for s in both:
+                    s.pop()
+                seen["dropped"] += len(before - set(sat._candidate_states))
+            elif op < 0.4:
+                edges = [pool[rng.randrange(len(pool))] for _ in range(rng.randint(1, 2))]
+                # Cycle-closing pushes leave the pool's order behind.
+                if sat.mirror.remains_acyclic_with_edges(edges):
+                    for s in both:
+                        s.push(edges)
+            elif op < 0.55:
+                if not sat._candidate_states:
+                    continue
+                name, state = rng.choice(sorted(sat._candidate_states.items()))
+                if not state.valid or state.cyclic:
+                    continue
+                if op < 0.5:
+                    # A push closing a cycle under the state's own function:
+                    # the sync must find it.
+                    arc = _cycle_closing_arc(sat, state.kf_mapping, state._pk_lists, rng)
+                    if arc is None:
+                        continue
+                    for s in both:
+                        s.push([arc])
+                        s._candidate_states[name].ensure_synced()
+                    assert state.cyclic, f"{label}: the sync missed the cycle on {name}"
+                    seen["sync_cycles"] += 1
+                    continue
+                # A push closing a cycle under a new function, which then
+                # patches the state with the push still deferred.
+                for s in both:
+                    s.candidate_functions()
+                mapping = {v: rng.choice(ks) for v, ks in sat._pk.items() if ks}
+                arc = _cycle_closing_arc(sat, mapping, sat._pk, rng)
+                if arc is None:
+                    continue
+                for s in both:
+                    s.push([arc])
+                kf = KillingFunction(INT, mapping)
+                for s in both:
+                    assert s.candidate_antichain(name, kf) is None, label
+                seen["patch_cycles"] += 1
+            elif op < 0.7:
+                warm = [s.saturation() for s in both]
+                assert [(r.rs, r.saturating_values, r.killing_function) for r in warm] == [
+                    (warm[0].rs, warm[0].saturating_values, warm[0].killing_function)
+                ] * 2, label
+            elif op < 0.85:
+                for s in both:
+                    s.candidate_functions()
+                mapping = {v: rng.choice(ks) for v, ks in sat._pk.items() if ks}
+                name = rng.choice(["greedy-k", "canonical", "asap-induced", "random"])
+                kf = KillingFunction(INT, mapping)
+                results = [s.candidate_antichain(name, kf) for s in both]
+                assert results[0] == results[1], label
+            else:
+                for s in both:
+                    for state in s._candidate_states.values():
+                        state.ensure_synced()
+            assert sat.stats == twin.stats, label
+            assert set(sat._candidate_states) == set(twin._candidate_states), label
+            self._check(sat, seen, label)
+        seen["patches"] += sat.stats["dv_patches"]
+        seen["reuses"] += sat.stats["dv_reuses"]
+        seen["skipped"] += sat.stats["dv_syncs_skipped"]
+
+    #: What each population must reach: compared states, cyclic verdicts,
+    #: states a pop discarded, cycles a sync or a patch found, patches,
+    #: reuses, and deferred pushes skipped.
+    _PATHS = (
+        "checked", "cyclic", "dropped", "sync_cycles", "patch_cycles",
+        "patches", "reuses", "skipped",
+    )
+
+    def _assert_coverage(self, seen):
+        for key in self._PATHS:
+            assert seen[key] > 0, (key, seen)
+
+    def test_layered_interleavings(self):
+        seen = dict.fromkeys(self._PATHS, 0)
+        for seed in range(6):
+            rng = random.Random(1300 + seed)
+            self._run(layered_random_ddg(nodes=16 + seed, layers=4, seed=seed), rng, 40, seen)
+        self._assert_coverage(seen)
+
+    def test_superblock_interleavings(self):
+        seen = dict.fromkeys(self._PATHS, 0)
+        for seed in range(1400, 1403):
+            self._run(random_superblock(operations=60, seed=3), random.Random(seed), 60, seen)
+        self._assert_coverage(seen)
+
+
+class TestEngineSelection:
+    """The input picks the DV engine, checked per candidate label."""
+
+    @staticmethod
+    def _engines(sat):
+        sat.saturation()
+        engines = {label: type(state) for label, state in sat._candidate_states.items()}
+        assert engines, "saturation() must leave candidate states behind"
+        return engines
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_zero_offset_inputs_get_the_reachability_engine(self, seed):
+        for ddg in (
+            layered_random_ddg(nodes=16 + seed, layers=4, seed=seed),
+            random_superblock(operations=40, seed=seed),
+        ):
+            engines = self._engines(IncrementalSaturation(ddg.copy(), INT))
+            for label, engine in engines.items():
+                assert engine is _ReachDVState, (ddg.name, label)
+
+    @pytest.mark.parametrize("variant", ["vliw", "vliw-read-1", "classed-vliw", "negative-arc"])
+    def test_offset_or_negative_inputs_get_the_longest_path_engine(self, variant):
+        for seed in range(4):
+            base = layered_random_ddg(nodes=16 + seed, layers=4, seed=seed)
+            if variant == "vliw":
+                ddg = retarget(base, vliw())
+            elif variant == "vliw-read-1":
+                ddg = retarget(base, vliw(read_offset=1))
+            elif variant == "classed-vliw":
+                ddg = _classed_retarget(base, seed)
+            else:
+                ddg = base.copy()
+                topo = context_for(ddg).topological_order()
+                ddg.add_serial_edge(topo[0], topo[-1], latency=-1)
+            engines = self._engines(IncrementalSaturation(ddg, INT))
+            for label, engine in engines.items():
+                assert engine is _CandidateDVState, (variant, seed, label)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_negative_push_hands_the_session_to_the_longest_path_engine(self, seed):
+        rng = random.Random(1500 + seed)
+        ddg = layered_random_ddg(nodes=18 + seed, layers=4, seed=seed)
+        sat = IncrementalSaturation(ddg.copy(), INT)
+        assert set(self._engines(sat).values()) == {_ReachDVState}
+        pool = _arc_pool(ddg, rng)
+        sat.push([pool[0]])
+        sat.saturation()
+        a, b = pool[1].src, pool[1].dst
+        sat.push([Edge(a, b, -1, DependenceKind.SERIAL, None)])
+        for step in range(16):
+            if step % 4 == 3 and sat._frames:
+                sat.pop()  # down to, and below, the negative push
+            elif step % 4 != 3:
+                sat.push([pool[rng.randrange(len(pool))]])
+            warm = sat.saturation()
+            cold = greedy_saturation(sat.working_ddg.copy(), INT)
+            assert (warm.rs, warm.saturating_values, warm.killing_function) == (
+                cold.rs, cold.saturating_values, cold.killing_function
+            ), step
+            for label, engine in self._engines(sat).items():
+                assert engine is _CandidateDVState, (step, label)

@@ -29,6 +29,7 @@ from repro.analysis.context import context_for
 from repro.codes.generator import layered_random_ddg, random_superblock
 from repro.codes.suite import kernel_suite
 from repro.core.graph import DDG, Edge
+from repro.core.machine import retarget, vliw
 from repro.core.schedule import asap_schedule
 from repro.core.types import BOTTOM, INT, DependenceKind
 from repro.reduction import ReductionSession, reduce_saturation_heuristic
@@ -44,6 +45,9 @@ from repro.saturation.incremental import (
 from repro.saturation.pkill import canonical_killing_function, killing_function_from_schedule
 
 NEG_INF = flatbuf.NEG_INF
+
+#: Every op reads and writes at offset 1: the longest-path DV engine's input.
+_OFFSET_1 = vliw(read_offset=1)
 
 
 def _longest_paths_by_fixpoint(ddg: DDG, src: str):
@@ -246,7 +250,12 @@ class TestRandomInterleavings:
 
 
 class TestCandidatePatchSurgery:
-    """A patch keeps the killed mirror's adjacency and order in place, exactly."""
+    """A patch keeps the killed mirror's adjacency and order in place, exactly.
+
+    Only the longest-path engine keeps a killed mirror, so the graphs are
+    retargeted to a VLIW whose ops read and write at offset 1: that selects
+    the engine and leaves the reduction's path as with zero offsets.
+    """
 
     @staticmethod
     def _check(analysis: IncrementalAnalysis, seen) -> None:
@@ -269,9 +278,9 @@ class TestCandidatePatchSurgery:
     @pytest.mark.parametrize(
         "ddg, budget",
         [
-            (random_superblock(operations=60, seed=3), 6),
-            (layered_random_ddg(nodes=20, layers=4, seed=7), 3),
-            (layered_random_ddg(nodes=24, layers=5, seed=11), 3),
+            (retarget(random_superblock(operations=60, seed=3), _OFFSET_1), 6),
+            (retarget(layered_random_ddg(nodes=20, layers=4, seed=7), _OFFSET_1), 3),
+            (retarget(layered_random_ddg(nodes=24, layers=5, seed=11), _OFFSET_1), 3),
         ],
         ids=["sb60-s3", "layered20-s7", "layered24-s11"],
     )

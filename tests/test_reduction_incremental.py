@@ -23,6 +23,7 @@ from repro.codes.generator import (
 from repro.codes.kernels import figure2_dag
 from repro.codes.suite import kernel_suite
 from repro.core.graph import Edge
+from repro.core.machine import retarget, vliw
 from repro.core.types import INT, DependenceKind, Value
 from repro.errors import CyclicGraphError
 from repro.reduction import (
@@ -31,7 +32,11 @@ from repro.reduction import (
     reduce_saturation_multi_budget,
 )
 from repro.saturation import greedy_saturation
-from repro.saturation.incremental import IncrementalAnalysis
+from repro.saturation.incremental import (
+    IncrementalAnalysis,
+    _CandidateDVState,
+    _ReachDVState,
+)
 
 
 def _normalize(result):
@@ -188,20 +193,17 @@ class TestResetToDepth:
         assert session.depth == 0
         assert session.analysis_fingerprint() == fingerprints[0]
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_reset_with_states_retargeted_mid_stack(self, seed):
+    def _reset_drops_states_retargeted_mid_stack(self, ddg, engine):
         """States patched/rebuilt mid-stack are dropped on rewind, then rebuilt.
 
         A push whose serialization changes killing functions makes the next
         saturation re-target candidate DV states *above* depth 0 (patch or
-        rebuild, either way their killed mirrors have the pushed arcs baked
-        into the new baseline).  ``reset_to_depth`` must discard exactly
-        those states, restore the value-level analysis state bit-for-bit,
-        and the following saturation must equal a cold run on the restored
-        graph.
+        rebuild, either way the pushed arcs are baked into the new
+        baseline).  ``reset_to_depth`` must discard exactly those states,
+        restore the value-level analysis state bit-for-bit, and the
+        following saturation must equal a cold run on the restored graph.
         """
 
-        ddg = layered_random_ddg(nodes=18 + seed, layers=4, seed=70 + seed)
         session = ReductionSession(ddg, INT, prune_redundant=False)
         fingerprint0 = session.analysis_fingerprint()
         sat = session.saturation()
@@ -214,10 +216,12 @@ class TestResetToDepth:
         if pushes < 2:
             pytest.skip("population admits too few serializations")
         saturation = session._saturation
+        for label, state in saturation._candidate_states.items():
+            assert type(state) is engine, label
         mid_stack = {
             label
             for label, state in saturation._candidate_states.items()
-            if len(state._sync_frames) < session.depth
+            if len(state._frames) < session.depth
         }
         session.reset_to_depth(0)
         assert session.depth == 0
@@ -231,6 +235,19 @@ class TestResetToDepth:
         assert sat_back.rs == cold.rs
         assert sat_back.saturating_values == cold.saturating_values
         assert sat_back.killing_function == cold.killing_function
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_reset_with_states_retargeted_mid_stack(self, seed):
+        # Offset 1 everywhere selects the longest-path engine and keeps the
+        # reduction's path as with zero offsets.
+        ddg = retarget(layered_random_ddg(nodes=18 + seed, layers=4, seed=70 + seed),
+                       vliw(read_offset=1))
+        self._reset_drops_states_retargeted_mid_stack(ddg, _CandidateDVState)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_reset_with_reach_states_retargeted_mid_stack(self, seed):
+        ddg = layered_random_ddg(nodes=18 + seed, layers=4, seed=70 + seed)
+        self._reset_drops_states_retargeted_mid_stack(ddg, _ReachDVState)
 
     def test_reset_to_current_depth_is_noop(self):
         session = ReductionSession(figure2_dag(), INT)
