@@ -26,13 +26,18 @@ of augmenting-path phases instead of a full solve.  When a candidate's
 killing function changes, the engine swaps the changed DV rows in place
 (:meth:`PersistentAntichain.replace_rows`): only the closure rows that can
 see a changed row are recomputed, and every matched pair the new closure
-still holds is kept.  The extracted antichain is nevertheless
+still holds is kept.  A caller whose rows are already transitively closed
+(killed-graph reach sets) hands them in as closure rows with
+:meth:`PersistentAntichain.set_closure_rows`, which re-closes nothing.
+The extracted antichain is nevertheless
 byte-identical to the from-scratch path: by the uniqueness
 of the Dulmage--Mendelsohn decomposition, the Koenig sets ``Z_L``/``Z_R``
 (alternating-path reachability from the unmatched left vertices) are the
 same for *every* maximum matching of the split graph, so the repaired
 matching and the from-scratch Hopcroft--Karp matching yield the same
-antichain even when the matchings themselves differ.
+antichain even when the matchings themselves differ.  The repair's last
+BFS phase, the one that finds no augmenting path, walks exactly those
+alternating paths, so the engine reads the Koenig sets off it.
 """
 
 from __future__ import annotations
@@ -401,14 +406,13 @@ class _Frame:
     at push time; :meth:`PersistentAntichain.pop` replays them.
     """
 
-    __slots__ = ("closure_log", "left_log", "right_log", "cyclic", "stale", "matched", "cached")
+    __slots__ = ("closure_log", "left_log", "right_log", "cyclic", "matched", "cached")
 
-    def __init__(self, cyclic: bool, stale: bool, matched: int, cached) -> None:
+    def __init__(self, cyclic: bool, matched: int, cached) -> None:
         self.closure_log: Dict[int, int] = {}
         self.left_log: Dict[int, int] = {}
         self.right_log: Dict[int, int] = {}
         self.cyclic = cyclic
-        self.stale = stale
         self.matched = matched
         self.cached = cached
 
@@ -424,7 +428,9 @@ class PersistentAntichain:
       and to every current ancestor of ``u`` -- one bitset OR per dirty
       vertex instead of the full Kahn + reverse-topological rebuild;
       replacing rows (:meth:`replace_rows`, growth and shrink alike)
-      recomputes only the changed vertices and their ancestors;
+      recomputes only the changed vertices and their ancestors; rows the
+      caller already closed (:meth:`set_closure_rows`) are stored as they
+      are;
     * **matching**: an edge *addition* never invalidates a matching of the
       split graph, so the previous ``match_l``/``match_r`` stay a valid
       (near-maximum) starting point and only augmenting paths from the
@@ -435,6 +441,10 @@ class PersistentAntichain:
       matching (Dulmage--Mendelsohn uniqueness), so the repaired matching
       extracts the *byte-identical* antichain to the from-scratch path
       (:func:`antichain_indices_from_rows`); the property tests pin that.
+      The repair's last BFS phase, which finds no augmenting path, visits
+      exactly ``Z_L`` (the left vertices it gives a distance) and ``Z_R``
+      (the right vertices it sees), so the antichain is read off that
+      phase with no second walk.
 
     :meth:`push`/:meth:`pop` bracket a group of insertions and replacements
     with an undo log
@@ -444,7 +454,7 @@ class PersistentAntichain:
     """
 
     __slots__ = ("_n", "_closure", "_match_l", "_match_r", "_matched",
-                 "_stale", "cyclic", "_frames", "_cached")
+                 "cyclic", "_frames", "_cached")
 
     def __init__(self, n: int, rows: Optional[Sequence[int]] = None) -> None:
         self._n = n
@@ -452,9 +462,11 @@ class PersistentAntichain:
         self._match_l = [-1] * n
         self._match_r = [-1] * n
         self._matched = 0
-        self._stale = n > 0
         self.cyclic = False
         self._frames: List[_Frame] = []
+        #: The antichain of the current state, None while the matching
+        #: awaits repair: every mutation that can change either clears it,
+        #: and :meth:`_repair` sets it.
         self._cached: Optional[List[int]] = None
         if rows is not None:
             self.replace_rows(rows, range(n))
@@ -480,7 +492,6 @@ class PersistentAntichain:
         if not (addition & ~closure[u]):
             return True  # already implied by the running closure
         self._cached = None
-        self._stale = True
         log = self._frames[-1].closure_log if self._frames else None
         for x in range(self._n):
             cx = closure[x]
@@ -518,11 +529,12 @@ class PersistentAntichain:
         rows, so its reachable set is the same in both relations.  A cycle
         can only run through recomputed vertices and marks the engine
         cyclic; a cyclic engine recomputes every row, so a later
-        replacement that removes the cycle recovers it.  Every matched pair
-        still in the new closure is kept and :meth:`_repair` augments from
-        there, which extracts the same antichain as a fresh matching (the
-        Koenig sets do not depend on the maximum matching).  Undo-logged
-        like :meth:`insert`.
+        replacement that removes the cycle recovers it.  The recomputed
+        rows then go through :meth:`set_closure_rows`, which keeps every
+        matched pair still in the new closure; :meth:`_repair` augments
+        from there, which extracts the same antichain as a fresh matching
+        (the Koenig sets do not depend on the maximum matching).
+        Undo-logged like :meth:`insert`.
         """
 
         n, closure = self._n, self._closure
@@ -542,36 +554,51 @@ class PersistentAntichain:
             affected_mask = 0
             for x in affected:
                 affected_mask |= 1 << x
-        before = [closure[x] for x in affected]
-        if not _close_members(rows, closure, affected, affected_mask):
+        fresh = list(closure)
+        if not _close_members(rows, fresh, affected, affected_mask):
             self.cyclic = True
-            self._cached = None
             return False
-        moved, self.cyclic = self.cyclic, False
+        if self.cyclic:
+            self.cyclic = False
+            self._cached = None
+        self.set_closure_rows([(x, fresh[x]) for x in affected])
+        return True
+
+    def set_closure_rows(self, rows: Iterable[Tuple[int, int]]) -> None:
+        """Take each ``(i, row)`` of *rows* as the closure row of vertex ``i``.
+
+        The entry point for rows that are already transitively closed (the
+        reachability DV engine's killed-graph reach sets): nothing is
+        re-closed, so the caller vouches that the new rows, together with
+        the rows left as they are, form the closure of an acyclic relation
+        (no row holds its own bit).  Growth and shrink alike: a matched
+        pair ``(i, match_l[i])`` is dropped only when ``i``'s new row lost
+        it, and :meth:`_repair` augments from what is kept.  Undo-logged
+        like :meth:`insert`.
+        """
+
+        if self.cyclic:
+            raise RuntimeError("closed rows handed to a cyclic antichain engine")
+        closure, match_l = self._closure, self._match_l
         log = self._frames[-1].closure_log if self._frames else None
-        match_l = self._match_l
-        for x, old in zip(affected, before):
-            if closure[x] == old:
+        for x, row in rows:
+            old = closure[x]
+            if row == old:
                 continue
-            moved = True
+            self._cached = None
             if log is not None and x not in log:
                 log[x] = old
+            closure[x] = row
             v = match_l[x]
-            if v != -1 and not (closure[x] >> v) & 1:
+            if v != -1 and not (row >> v) & 1:
                 self._log_match(x, v)
                 match_l[x] = self._match_r[v] = -1
                 self._matched -= 1
-        if moved:
-            self._cached = None
-            self._stale = True
-        return True
 
     def push(self) -> None:
         """Open an undo frame covering every subsequent insert/repair."""
 
-        self._frames.append(
-            _Frame(self.cyclic, self._stale, self._matched, self._cached)
-        )
+        self._frames.append(_Frame(self.cyclic, self._matched, self._cached))
 
     def pop(self) -> None:
         """Revert to the state at the matching :meth:`push`."""
@@ -585,7 +612,6 @@ class PersistentAntichain:
         for v, old in frame.right_log.items():
             match_r[v] = old
         self.cyclic = frame.cyclic
-        self._stale = frame.stale
         self._matched = frame.matched
         self._cached = frame.cached
 
@@ -619,15 +645,21 @@ class PersistentAntichain:
         self._match_r[v] = u
 
     def _repair(self) -> None:
-        """Hopcroft--Karp phases from the current matching until maximum.
+        """Hopcroft--Karp phases from the current matching until maximum,
+        then the antichain.
 
         Starting from a valid matching, every augmenting path begins at a
         free left vertex, so the standard phase structure applies verbatim;
         when the matching is already maximum (the common case after a batch
         of implied or already-covered insertions) a single BFS proves it.
+        That last BFS finds no free right vertex, so it walks every
+        alternating path from the free left vertices to its end: the left
+        vertices it gives a finite distance are ``Z_L`` and the right
+        vertices it sees are ``Z_R``, and the antichain, ``Z_L`` minus
+        ``Z_R``, is read off it into ``_cached``.
         """
 
-        if not self._stale or self.cyclic:
+        if self._cached is not None or self.cyclic:
             return
         n, closure = self._n, self._closure
         match_l, match_r = self._match_l, self._match_r
@@ -666,7 +698,9 @@ class PersistentAntichain:
             for u in range(n):
                 if match_l[u] == -1:
                     self._augment(u, dist, infinity)
-        self._stale = False
+        self._cached = [
+            u for u in range(n) if dist[u] != infinity and not (seen >> u) & 1
+        ]
 
     def _augment(self, root: int, dist: List[int], infinity: int) -> bool:
         """One iterative augmenting-path walk (bitset edges, undo-logged flips)."""
@@ -703,43 +737,17 @@ class PersistentAntichain:
         """Indices of the maximum antichain, or None when the state is cyclic.
 
         Byte-identical to :func:`antichain_indices_from_rows` on any raw
-        relation whose closure equals the running closure; cached until the
-        next insert or pop actually changes the state.
+        relation whose closure equals the running closure.  The repair
+        leaves it behind, so it is cached until the next mutation actually
+        changes the state, and a pop restores the cache of its frame.
         """
 
         if self.cyclic:
             return None
-        if self._cached is None:
-            self._repair()
-            self._cached = self._koenig()
+        self._repair()
         # A copy: the cache is also aliased by the undo frames, so handing
         # out the internal list would let a mutating caller corrupt both.
-        return list(self._cached)
-
-    def _koenig(self) -> List[int]:
-        n, closure = self._n, self._closure
-        match_l, match_r = self._match_l, self._match_r
-        z_left = 0
-        queue = [u for u in range(n) if match_l[u] == -1]
-        for u in queue:
-            z_left |= 1 << u
-        z_right = 0
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            fresh = closure[u] & ~z_right
-            z_right |= fresh
-            while fresh:
-                low = fresh & -fresh
-                v = low.bit_length() - 1
-                fresh ^= low
-                w = match_r[v]
-                if w != -1 and not (z_left >> w) & 1:
-                    z_left |= 1 << w
-                    queue.append(w)
-        free = z_left & ~z_right
-        return [i for i in range(n) if (free >> i) & 1]
+        return list(self._cached)  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------ #
     # Introspection (tests, Dilworth-duality checks)

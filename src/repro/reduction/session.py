@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 from ..analysis.context import context_for
 from ..core.graph import DDG, Edge
 from ..core.types import BOTTOM, DependenceKind, RegisterType, Value, canonical_type
-from ..errors import CyclicGraphError, ReductionError
+from ..errors import ReductionError
 from ..saturation.incremental import IncrementalSaturation
 from ..saturation.result import SaturationResult
 from .serialization import (
@@ -532,14 +532,11 @@ class ReductionSession:
 
         The caller is expected to pass arcs vetted by
         :meth:`legal_serialization`; arcs that would close a cycle raise
-        :class:`~repro.errors.CyclicGraphError` before anything is mutated.
+        :class:`~repro.errors.CyclicGraphError` from
+        :meth:`~repro.saturation.incremental.IncrementalSaturation.push`
+        before anything is mutated.
         """
 
-        edges = list(edges)
-        if not self._mirror.remains_acyclic_with_edges(edges):
-            raise CyclicGraphError(
-                f"serializing {self.ddg.name!r} must keep the DDG acyclic"
-            )
         cp_fresh = self._cp_state_version == self.ddg.version
         records = self._saturation.push(edges).records
         self.stats["pushes"] += 1

@@ -74,6 +74,7 @@ from ..analysis.context import context_for
 from ..analysis.interner import OpInterner
 from ..core.graph import DDG, Edge
 from ..core.types import DependenceKind, RegisterType, Value, canonical_type
+from ..errors import CyclicGraphError
 from .result import SaturationResult
 
 __all__ = ["IncrementalAnalysis", "IncrementalSaturation"]
@@ -663,7 +664,9 @@ class _DVState:
     ``u`` only through its killer, so values sharing a killer share the
     killer's bitset (minus their own bit).  A
     :class:`~repro.analysis.antichain.PersistentAntichain` holds its
-    closure and maximum antichain.
+    closure and maximum antichain: the reachability engine's rows are
+    closed already and go in as closure rows, the longest-path engine's
+    are closed by the antichain engine.
 
     Base-graph pushes are mirrored *lazily*: :meth:`defer_sync` queues the
     arcs and :meth:`ensure_synced` replays them in order only when the
@@ -789,8 +792,14 @@ class _DVState:
         ]
 
     def _replace_changed_rows(self, engine: PersistentAntichain, old_rows: List[int]) -> None:
-        """Hand *engine* the DV rows that differ from *old_rows* in one
-        ``replace_rows``, which keeps its closure and matching warm."""
+        """Hand *engine* the DV rows that differ from *old_rows*, keeping its
+        closure and matching warm.
+
+        Longest-path DV rows are not transitively closed in general, so
+        they go through one ``replace_rows``, which re-closes the changed
+        rows and their ancestors.  :class:`_ReachDVState` overrides this:
+        its rows are closed already.
+        """
 
         new_rows = self.dv_rows()
         engine.replace_rows(
@@ -1220,6 +1229,17 @@ class _ReachDVState(_DVState):
       arc ``a → t`` closes a cycle exactly when ``t`` already reaches
       ``a``.
 
+    **Closed rows.**  Value ``i``'s DV row, ``reach(k(i)) ∩ values``
+    minus ``i``, is its own transitive closure: if ``j`` is in ``i``'s row
+    and ``l`` in ``j``'s, then ``k(i)`` reaches ``j``, ``j → k(j)`` is a
+    flow arc (every potential killer reads its value, ⊥ included through
+    the bottom mirror's flow arcs), and ``k(j)`` reaches ``l``; and
+    ``l != i``, since ``k(i)`` reaching ``i`` would close a cycle through
+    the flow arc ``i → k(i)`` in the acyclic ``G→k``.  So the engine hands
+    its rows to the antichain engine as closure rows
+    (:meth:`~repro.analysis.antichain.PersistentAntichain.set_closure_rows`),
+    and nothing re-closes them.
+
     **Layout.**  ``_killer_bits`` is the reach table: one entry per op id
     of the bottom mirror, holding the ops it reaches in ``G→k`` (itself
     included) as a bitset over *bit positions*.  Values take positions
@@ -1232,15 +1252,14 @@ class _ReachDVState(_DVState):
     them in one iterative DFS post-order, which also finds a cycle.  No
     DDG is copied and no longest path is computed.  The mirror already
     holds every deferred push, so a patch simply closes the new function's
-    graph on it and hands the antichain engine the changed DV rows in one
-    :meth:`~repro.analysis.antichain.PersistentAntichain.replace_rows`; a
-    rebuild seeds a new engine.
+    graph on it and hands the antichain engine the DV rows that changed; a
+    rebuild seeds a new engine with every row.
 
     **Sync.**  Per pushed arc ``a → t``: a cycle if bit ``a`` is set in
     ``reach[t]``; otherwise every entry holding bit ``a`` gains
     ``reach[t]``.  The frame logs the old value of each entry a sync
-    grows, and the value bits each killer gained go to
-    :meth:`~repro.analysis.antichain.PersistentAntichain.insert_mask`.
+    grows, and the grown rows of the values each such killer kills go to
+    the antichain engine in one undo-framed call.
     """
 
     def __init__(
@@ -1334,16 +1353,17 @@ class _ReachDVState(_DVState):
         self.cyclic = False
         self._killer_bits = reach
         self._assign_killers(kf, self._mirror.op_id)
-        self._engine = PersistentAntichain(len(self._values), rows=self.dv_rows())
+        self._engine = engine = PersistentAntichain(len(self._values))
+        engine.set_closure_rows(enumerate(self.dv_rows()))
 
     def patch(self, bottom_ddg: DDG, kf, pk: Mapping[Value, List[str]]) -> bool:
         """Re-target the warm state onto a new killing function.
 
         Closes the new function's ``G→k`` on the current mirror, deferred
-        pushes included, and keeps the antichain engine warm through one
-        ``replace_rows``.  Returns False, so that the caller rebuilds,
-        exactly when the longest-path engine's patch would: with no warm
-        acyclic state to re-target.
+        pushes included, and keeps the antichain engine warm: the DV rows
+        that changed go in as closure rows.  Returns False, so that the
+        caller rebuilds, exactly when the longest-path engine's patch
+        would: with no warm acyclic state to re-target.
         """
 
         engine = self._engine
@@ -1366,6 +1386,15 @@ class _ReachDVState(_DVState):
         self._assign_killers(kf, self._mirror.op_id)
         self._replace_changed_rows(engine, old_rows)
         return True
+
+    def _replace_changed_rows(self, engine: PersistentAntichain, old_rows: List[int]) -> None:
+        """The changed DV rows go in as closure rows (see **Closed rows**)."""
+
+        engine.set_closure_rows(
+            (i, new)
+            for i, (old, new) in enumerate(zip(old_rows, self.dv_rows()))
+            if old != new
+        )
 
     def _slot_diff_cyclic(self, old_mapping, old_pk, kf, pk, deferred: int) -> bool:
         """Whether the longest-path engine's patch would skip the deferred pushes.
@@ -1437,21 +1466,21 @@ class _ReachDVState(_DVState):
                     if x not in log:
                         log[x] = rx
                     reach[x] = rx | gained
-        if not log:
-            return
-        engine.push()
-        frame.engine_pushed = True
         killer_values, mask = self._killer_values, self._value_mask
+        rows: List[Tuple[int, int]] = []
         for x, old in log.items():
             killed = killer_values.get(x)
             if killed is None:
                 continue
-            added = reach[x] & mask & ~old
-            if added:
-                # New DV arcs i -> j for every value i that x kills and
-                # every value j that x newly reaches.
-                for i in killed:
-                    engine.insert_mask(i, added & ~(1 << i))
+            row = reach[x] & mask
+            if row != old & mask:
+                # x newly reaches a value: the rows of the values it kills
+                # grow to its new reach set, which is closed as it is.
+                rows.extend((i, row & ~(1 << i)) for i in killed)
+        if rows:
+            engine.push()
+            frame.engine_pushed = True
+            engine.set_closure_rows(rows)
 
     def _undo(self, frame: _ReachFrame) -> None:
         reach = self._killer_bits
@@ -1697,9 +1726,19 @@ class IncrementalSaturation:
     # Push / pop / query
     # ------------------------------------------------------------------ #
     def push(self, edges) -> _AnalysisFrame:
-        """Push *edges* on the mirror and the working graph; returns the mirror's frame."""
+        """Push *edges* on the mirror and the working graph; returns the mirror's frame.
+
+        Arcs that would close a cycle raise
+        :class:`~repro.errors.CyclicGraphError` before anything is mutated:
+        the warm analyses assume a DAG (the ASAP relaxation of a cyclic push
+        would never end).
+        """
 
         edges = list(edges)
+        if not self._mirror.remains_acyclic_with_edges(edges):
+            raise CyclicGraphError(
+                f"serializing {self._working.name!r} must keep the DDG acyclic"
+            )
         self._ensure_pk()
         if self._reach_dv and any(e.latency < 0 for e in edges):
             # Reachability no longer decides the DV test: longest-path

@@ -17,7 +17,12 @@ pinned here over random DAG populations:
 
 Both claims also hold under :meth:`PersistentAntichain.replace_rows`, the
 update that swaps whole successor rows (shrinks included) when a
-candidate's killing function changes.
+candidate's killing function changes, and under
+:meth:`PersistentAntichain.set_closure_rows`, which takes rows that are
+already transitively closed as they are.  The antichain is read off the
+repair's last BFS phase, so it is also checked after another query ran
+the repair, after a pop that restores a repaired state, and on an empty
+ground set.
 """
 
 from __future__ import annotations
@@ -237,6 +242,141 @@ class TestRowReplacement:
         assert engine.cyclic
         assert engine.replace_rows([0b0010, 0b0100, 0b1000, 0], [1])
         _check_against_reference(engine, [0b0010, 0b0100, 0b1000, 0], "chain")
+
+
+def _random_closed_relation(n, rng):
+    """The closure of a random DAG on ``range(n)``, with its order and raw rows."""
+
+    perm = list(range(n))
+    rng.shuffle(perm)
+    pos = {v: i for i, v in enumerate(perm)}
+    density = rng.choice((0.05, 0.15, 0.3))
+    raw = [_random_forward_row(i, pos, perm, rng, density) for i in range(n)]
+    return closure_from_rows(raw), raw, perm, pos
+
+
+def _closed_engine(closed):
+    engine = PersistentAntichain(len(closed))
+    engine.set_closure_rows(enumerate(closed))
+    return engine
+
+
+class TestClosedRows:
+    """`set_closure_rows` against the from-scratch path and a `replace_rows` twin."""
+
+    @staticmethod
+    def _check(engine, twin, closed, label):
+        # A closed relation is its own closure, so the reference check
+        # compares the closure rows with *closed* itself.
+        _check_against_reference(engine, closed, label)
+        _check_against_reference(twin, closed, label)
+        assert engine.matching_size() == twin.matching_size(), label
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_growth_and_shrink_under_push_pop(self, seed):
+        rng = random.Random(4000 + seed)
+        n = rng.randint(1, 40)
+        closed, raw, perm, pos = _random_closed_relation(n, rng)
+        engine = _closed_engine(closed)
+        twin = PersistentAntichain(n, rows=closed)
+        self._check(engine, twin, closed, f"seed {seed} start")
+        snapshots = []
+        grows = shrinks = pops = 0
+        for step in range(40):
+            label = f"seed {seed} step {step}"
+            if rng.random() < 0.25 and snapshots:
+                engine.pop()
+                twin.pop()
+                raw, closed, matching = snapshots.pop()
+                # The exact matching comes back, not merely an equivalent one.
+                assert engine.matching() == matching, label
+                pops += 1
+                self._check(engine, twin, closed, label)
+                continue
+            if rng.random() < 0.5:
+                snapshots.append((list(raw), closed, engine.matching()))
+                engine.push()
+                twin.push()
+            new_raw = list(raw)
+            changed_raw = rng.sample(range(n), rng.randint(1, max(1, n // 4)))
+            growth_only = rng.random() < 0.5
+            for i in changed_raw:
+                row = _random_forward_row(i, pos, perm, rng, rng.random() * 0.4)
+                # A sync only adds arcs; a killing-function change also drops some.
+                new_raw[i] = raw[i] | row if growth_only else row
+            new_closed = closure_from_rows(new_raw)
+            changed = [i for i in range(n) if new_closed[i] != closed[i]]
+            grows += any(new & ~old for old, new in zip(closed, new_closed))
+            shrinks += any(old & ~new for old, new in zip(closed, new_closed))
+            if rng.random() < 0.3:
+                engine.antichain_indices()  # a warm matching to keep or drop
+                twin.antichain_indices()
+            engine.set_closure_rows((i, new_closed[i]) for i in changed)
+            assert twin.replace_rows(new_closed, changed), label
+            raw, closed = new_raw, new_closed
+            self._check(engine, twin, closed, label)
+        assert grows and shrinks and pops
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_keeps_every_matched_pair_a_new_row_still_holds(self, seed):
+        rng = random.Random(4100 + seed)
+        n = rng.randint(8, 40)
+        closed, raw, perm, pos = _random_closed_relation(n, rng)
+        engine = _closed_engine(closed)
+        before, _ = engine.matching()
+        for i in rng.sample(range(n), n // 3):
+            raw[i] = _random_forward_row(i, pos, perm, rng, 0.2)
+        new_closed = closure_from_rows(raw)
+        engine.set_closure_rows(enumerate(new_closed))
+        # Before any repair: a pair survives exactly when its row kept it.
+        assert engine._match_l == [
+            v if v != -1 and (new_closed[u] >> v) & 1 else -1
+            for u, v in enumerate(before)
+        ]
+        assert engine.antichain_indices() == antichain_indices_from_rows(new_closed)
+
+    @pytest.mark.parametrize("query", ["matching", "matching_size", "cardinality"])
+    def test_antichain_after_another_query_ran_the_repair(self, query):
+        rng = random.Random(4200)
+        closed, raw, perm, pos = _random_closed_relation(24, rng)
+        engine = _closed_engine(closed)
+        getattr(engine, query)()
+        assert engine.antichain_indices() == antichain_indices_from_rows(closed)
+        raw[perm[0]] |= _random_forward_row(perm[0], pos, perm, rng, 0.5)
+        grown = closure_from_rows(raw)
+        engine.set_closure_rows(enumerate(grown))
+        getattr(engine, query)()
+        assert engine.antichain_indices() == antichain_indices_from_rows(grown)
+
+    def test_pop_restores_a_repaired_state(self):
+        rng = random.Random(4300)
+        closed, raw, perm, pos = _random_closed_relation(30, rng)
+        engine = _closed_engine(closed)
+        matching = engine.matching()  # repaired; no antichain asked for yet
+        engine.push()
+        engine.set_closure_rows(
+            enumerate(closure_from_rows([row | _random_forward_row(i, pos, perm, rng, 0.3)
+                                         for i, row in enumerate(raw)]))
+        )
+        engine.antichain_indices()
+        engine.pop()
+        assert engine.matching() == matching
+        assert engine.antichain_indices() == antichain_indices_from_rows(closed)
+
+    def test_empty_ground_set(self):
+        engine = _closed_engine([])
+        assert engine.matching() == ([], [])
+        assert engine.matching_size() == engine.cardinality() == 0
+        engine.push()
+        engine.set_closure_rows([])
+        engine.pop()
+        assert engine.antichain_indices() == []
+
+    def test_cyclic_engine_refuses_closed_rows(self):
+        engine = PersistentAntichain(2, rows=[0b10, 0b01])
+        assert engine.cyclic
+        with pytest.raises(RuntimeError):
+            engine.set_closure_rows([(0, 0b10), (1, 0)])
 
 
 class TestPushPop:

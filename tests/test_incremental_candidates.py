@@ -34,7 +34,9 @@ path would pass any equality check).
 The reachability engine is also checked against the longest-path engine
 and the cold ``saturating_antichain`` after every step of random push /
 pop / killing-function interleavings, and the engine each input selects
-is pinned per candidate label.
+is pinned per candidate label.  Its DV rows go into the antichain engine
+as closure rows, unclosed, so the same steps check that they are their
+own transitive closure.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import random
 
 import pytest
 
+from repro.analysis.antichain import closure_from_rows
 from repro.analysis.context import context_for
 from repro.codes.generator import layered_random_ddg, random_superblock
 from repro.core.graph import Edge
@@ -498,7 +501,10 @@ class TestReachEngineOracle:
     After every step, every candidate state that is synced must report the
     DV rows, cyclic verdict and antichain of an lp ``_CandidateDVState``
     rebuilt on the same mirror, killing function and pk, and the antichain
-    of ``saturating_antichain`` on the cold killed graph.
+    of ``saturating_antichain`` on the cold killed graph.  Its DV rows must
+    also be their own transitive closure and equal the antichain engine's
+    closure rows: the engine takes them as closure rows and never closes
+    them itself.
     """
 
     @staticmethod
@@ -519,7 +525,11 @@ class TestReachEngineOracle:
             if cyclic:
                 seen["cyclic"] += 1
                 continue
-            assert state.dv_rows() == lp.dv_rows(), f"{label} {name}"
+            rows = state.dv_rows()
+            assert rows == lp.dv_rows(), f"{label} {name}"
+            assert rows == closure_from_rows(rows), f"{label} {name}"
+            engine = state._engine
+            assert [engine.closure_row(i) for i in range(len(rows))] == rows, f"{label} {name}"
             cold, _dag = saturating_antichain(mirror, kf, killed)
             assert state.antichain() == lp.antichain() == cold, f"{label} {name}"
 

@@ -34,6 +34,7 @@ from repro.reduction import (
 from repro.saturation import greedy_saturation
 from repro.saturation.incremental import (
     IncrementalAnalysis,
+    IncrementalSaturation,
     _CandidateDVState,
     _ReachDVState,
 )
@@ -63,6 +64,10 @@ def _normalize(result):
             for e in result.extended_ddg.edges()
         ),
     )
+
+
+def _edge_keys(graph):
+    return sorted((e.src, e.dst, e.latency, e.kind.value, e.rtype) for e in graph.edges())
 
 
 def _both_engines(ddg, rtype, budget, **kwargs):
@@ -409,6 +414,34 @@ class TestUndoSafety:
         assert session.depth == 1
         assert g.version == version
         assert sorted((e.src, e.dst, e.latency, e.kind.value) for e in g.edges()) == edges
+
+    def test_saturation_push_raises_on_a_cycle_before_mutation(self):
+        """A cycle-closing push used to relax ASAP times around the cycle
+        forever; it now raises before the graphs or the frames change."""
+
+        ddg = layered_random_ddg(nodes=16, layers=4, seed=0)
+        sat = IncrementalSaturation(ddg.copy(), INT)
+        before = sat.saturation()
+        g, mirror = sat.working_ddg, sat.mirror_ddg
+        assert "n1" in context_for(g).descendants_map(include_self=False)["n0"]
+        edges, mirror_edges = _edge_keys(g), _edge_keys(mirror)
+        versions = (g.version, mirror.version)
+        with pytest.raises(CyclicGraphError):
+            sat.push([Edge("n1", "n0", 0, DependenceKind.SERIAL, None)])
+        assert (g.version, mirror.version) == versions
+        assert (_edge_keys(g), _edge_keys(mirror)) == (edges, mirror_edges)
+        assert not sat._frames
+        # A legal push and its pop still round-trip afterwards.
+        topo = context_for(ddg).topological_order()
+        sat.push([Edge(topo[0], topo[-1], 1, DependenceKind.SERIAL, None)])
+        assert _edge_keys(g) != edges
+        sat.saturation()
+        sat.pop()
+        assert (_edge_keys(g), _edge_keys(mirror)) == (edges, mirror_edges)
+        after = sat.saturation()
+        assert (after.rs, after.saturating_values, after.killing_function) == (
+            before.rs, before.saturating_values, before.killing_function
+        )
 
     def test_pop_on_empty_session_raises(self):
         session = ReductionSession(figure2_dag(), INT)
