@@ -306,9 +306,9 @@ def run_reduction_optimality(
         _reduction_instance,
         tasks,
         store=active_store(),
-        # .v2: the worker payload gained the engine-counter sum; the bumped
-        # query keeps pre-PR-5 stored 2-tuples from being unpacked here.
-        query="experiment.reduction_optimality.v2",
+        # .v3: the engine-counter sum changed keys; the bumped query keeps
+        # stored payloads of the old shape from being served as current.
+        query="experiment.reduction_optimality.v3",
         key_fn=lambda task: (
             context_for(task[0].ddg).graph_hash(),
             {

@@ -31,11 +31,13 @@ Two engines drive the loop:
   engine is benchmarked and property-tested against.
 
 Both engines share the candidate enumeration, the reachability pre-filter
-(pairs whose ordering the transitive closure already forces are skipped and
-counted instead of evaluated), the tie-breaking and the stop at the scan
-floor (:func:`~repro.reduction.session.scan_floor`), and produce identical
+(pairs whose ordering the graph already forces are rejected before legality
+and scoring), the tie-breaking and the stop at the scan floor
+(:func:`~repro.reduction.session.scan_floor`), and produce identical
 :class:`~repro.reduction.result.ReductionResult` reports up to wall time and
-the ``details["engine"]`` tag.
+the ``details["engine"]`` tag.  The incremental engine's scan re-derives a
+cached candidate only when it could win, so it does not evaluate every pair
+it visits; its winner is still the exact scan's.
 
 :func:`reduce_saturation_multi_budget` amortises one engine across a whole
 budget ladder: the loop's trajectory does not depend on the budget (only
@@ -85,10 +87,6 @@ def _candidate_pairs(saturating: Sequence[Value]) -> Iterator[Tuple[Value, Value
                 yield (u, v)
 
 
-#: Driver verdict: the pair is already ordered by the transitive closure.
-_IMPLIED = object()
-
-
 class _FromScratchDriver:
     """The historic per-iteration behaviour: copy the graph, recompute everything."""
 
@@ -111,7 +109,8 @@ class _FromScratchDriver:
             self.current, before, after, self.mode,
             ctx.longest_paths_from, reach.__getitem__,
         ):
-            return _IMPLIED
+            # The graph already orders the pair: no candidate.
+            return None
         edges = legal_serialization(
             self.current, before, after, mode=self.mode, require_dag=True
         )
@@ -161,9 +160,10 @@ class _SessionDriver:
     def scan(self, saturating: Sequence[Value], base_cp: int):
         """The candidate-pair scan inlined in the session (fast path).
 
-        Same verdicts and winner as per-pair
-        :meth:`ReductionSession.consider` calls -- the loop overhead (pair
-        tuples, method dispatch, per-pair cp refresh) is hoisted instead.
+        Same winner as per-pair :meth:`ReductionSession.consider` calls --
+        the loop overhead (pair tuples, method dispatch, per-pair cp
+        refresh) is hoisted, and a stale cached candidate is re-derived only
+        when it could win.
         """
 
         return self.session.scan(saturating, base_cp)
@@ -201,8 +201,8 @@ class _SessionDriver:
 class _HeuristicLoop:
     """The shared iteration engine behind the single- and multi-budget drivers.
 
-    Holds the cumulative trajectory state (iterations, added arcs, implied
-    skips, the stuck flag); :meth:`run_to` continues the loop until the
+    Holds the cumulative trajectory state (iterations, added arcs, the
+    stuck flag); :meth:`run_to` continues the loop until the
     given budget is met.  The trajectory never reads the budget except in
     the loop condition, so driving to budget ``R`` and then continuing to
     ``R' < R`` walks exactly the iterations a from-scratch run to ``R'``
@@ -217,7 +217,6 @@ class _HeuristicLoop:
         self.max_iterations = max_iterations
         self.iterations = 0
         self.stuck = False
-        self.skipped_implied = 0
         self.added: List[Edge] = []
         #: Optional ``(SaturationResult) -> None`` observer fired after every
         #: applied serialization's re-saturation.  Purely observational (the
@@ -240,23 +239,18 @@ class _HeuristicLoop:
             scan = getattr(driver, "scan", None)
             if scan is not None:
                 # Session engine: the whole quadratic scan runs inside the
-                # session with the pair keys and cp refresh hoisted; verdicts,
-                # the winning (cp_increase, arc_count) order and the stop at
-                # the floor are the same as the per-pair loop below.
-                best, implied = scan(saturating, base_cp)
-                self.skipped_implied += implied
+                # session with the pair keys and cp refresh hoisted; the
+                # winner under the (cp_increase, arc_count) order and the
+                # stop at the floor are the same as the per-pair loop below.
+                best = scan(saturating, base_cp)
             else:
                 # base_cp is the current critical path: the floor is (0, 1).
                 floor = scan_floor(base_cp, base_cp)
                 for before, after in _candidate_pairs(saturating):
-                    # Pairs the transitive closure already orders cannot
-                    # change the saturation; `consider` skips them before
-                    # paying for legality + scoring, and defers arc
-                    # construction to the winner.
+                    # Pairs the graph already orders cannot change the
+                    # saturation; `consider` rejects them before paying for
+                    # legality + scoring.
                     considered = driver.consider(before, after, base_cp)
-                    if considered is _IMPLIED:
-                        self.skipped_implied += 1
-                        continue
                     if considered is None:
                         continue
                     cp_increase, arc_count, payload = considered
@@ -319,7 +313,6 @@ def _build_result(
             "pruned_redundant_arcs": len(driver.pruned),
             "serialization_mode": mode,
             "initial_saturating_values": [str(v) for v in initial.saturating_values],
-            "skipped_implied_pairs": loop.skipped_implied,
             **driver.engine_details(),
         },
     )
@@ -371,12 +364,11 @@ def reduce_saturation_heuristic(
         ``success`` is True when the heuristic drove its saturation estimate
         to at most the budget.  ``achieved_rs`` is the Greedy-k estimate of
         the extended graph (a lower bound of its true saturation; the paper's
-        experiments compare it against the exact value).
-        ``details["skipped_implied_pairs"]`` counts the pairs found already
-        ordered by the transitive closure among those the scans visited; a
-        scan stops at the first pair that no later pair can beat (see
-        :func:`~repro.reduction.session.scan_floor`), so pairs after it are
-        not counted.  Both engines visit the same pairs.
+        experiments compare it against the exact value).  ``details`` holds
+        the trajectory (``iterations``, ``stuck``, ``pruned_redundant_arcs``,
+        ``serialization_mode``, ``initial_saturating_values``) and the
+        engine tag; the incremental engine adds its counters and stage
+        timers under ``engine_stats``.
     """
 
     start = time.perf_counter()
@@ -417,10 +409,10 @@ def reduce_saturation_heuristic(
     else:
         result = store.memo(
             context_for(ddg).graph_hash(),
-            # .v2: PR 5 added counters + stage timers to engine_stats; the
-            # bumped query keeps pre-PR-5 stored results (old shape) from
-            # being served as current ones.
-            "reduction.heuristic.v2",
+            # .v3: details lost skipped_implied_pairs and engine_stats
+            # changed keys; the bumped query keeps results of the old shape
+            # from being served as current ones.
+            "reduction.heuristic.v3",
             {
                 "rtype": rtype.name,
                 "registers": registers,

@@ -18,11 +18,13 @@ replaces that with a single working graph mutated in place:
   descendant values, the candidate killing functions) are patched
   incrementally -- only the dirty region around the new arcs' endpoints is
   recomputed (see :mod:`repro.saturation.incremental`);
-* candidate serializations are scored without any graph copy, from per-pair
-  verdicts cached while a push cannot change them, and a cheap reachability
+* candidate serializations are scored without any graph copy, from cached
+  per-pair verdicts: a rejection is final, and a cached candidate is a
+  lower bound of its current score that :meth:`scan` re-derives only when
+  it could win (see :meth:`_store_verdict`).  A cheap reachability
   pre-filter (the :data:`ReductionSession.IMPLIED` verdict of
-  :meth:`consider`) rejects pairs whose ordering the transitive closure
-  already forces before any arc is built.
+  :meth:`consider`) rejects pairs whose ordering the graph already forces
+  before any arc is built.
 
 The session produces results identical to the from-scratch loop (pinned by
 ``tests/test_reduction_incremental.py`` and asserted with byte-compared
@@ -109,36 +111,33 @@ class ReductionSession:
         self._vindex: Dict[str, int] = self._saturation._node_index
         self._values_by_index: Tuple[Value, ...] = self._saturation._values
         self._nvals: int = len(self._values_by_index) or 1
+        # value -> its readers (flow consumers).  A serial arc never adds a
+        # flow consumer, so this survives every push/pop.
+        self._readers: Dict[Value, Tuple[str, ...]] = {}
         # pair key -> ((reader, latency), ...): the static part of the
-        # Theorem-4.2 serialization.  Readers are flow consumers and the
-        # latencies depend only on the operations, neither of which a serial
-        # arc can change, so this survives every push/pop.
+        # Theorem-4.2 serialization.  The latencies depend only on the
+        # operations, so this survives every push/pop too.
         self._proto_edges_cache: Dict[object, Tuple[Tuple[str, int], ...]] = {}
-        # pair key -> last iteration's `consider` verdict.  Rejections hold
-        # until the pop of the frame that stored them (`_store_verdict`); a
-        # candidate is re-used until a push dirties its target or a proto
-        # reader (`_invalidate_verdicts`; the critical path itself is re-read
-        # fresh -- see `consider`).  Framed per push so `pop` restores it.
+        # pair key -> the pair's cached verdict: a final rejection, or a
+        # candidate `(epoch, x, arc_count, payload)` that bounds the pair's
+        # current verdict from below (`_store_verdict`).  Framed per push
+        # so `pop` restores it.
         self._pair_verdicts: Dict[object, Tuple] = {}
-        # Undo frames for the verdict cache: one (dropped entries, added
-        # keys) delta per push, applied in reverse by `pop` -- the cache
-        # dict itself is never copied.
-        self._verdict_frames: List[Tuple[Dict[object, Tuple], List[object]]] = []
-        # node -> candidate pair keys whose verdict reads that node (the
-        # target or a proto reader).  Inverts the invalidation: a push walks
-        # dirty-node buckets instead of the whole verdict cache.  A stale
-        # key in a bucket is skipped.
-        self._verdict_node_keys: Dict[str, set] = {}
+        # Undo log per push: key -> its entry before the push (None when it
+        # had none), applied by `pop` -- the cache dict is never copied.
+        self._verdict_frames: List[Dict[object, Optional[Tuple]]] = []
+        # Bumped by every push and pop, so a candidate stamped with the
+        # current epoch was derived on the current graph.
+        self._epoch = 0
         self._cp_state_version = -1
         self._to_sinks: Dict[str, float] = {}
         self._cp = 0
         self.stats: Dict[str, int] = {
             "pushes": 0,
             "pops": 0,
-            "implied_skipped": 0,
             "evaluated_candidates": 0,
             "pair_verdicts_reused": 0,
-            "verdict_exact_regions": 0,
+            "lazy_rederivations": 0,
         }
         #: Monotonic per-stage accumulator for the candidate-pair scan; the
         #: saturation-side stages live on `IncrementalSaturation.timings`.
@@ -203,10 +202,16 @@ class ReductionSession:
                 raise ReductionError(
                     "cannot serialize lifetimes of different register types"
                 )
+            g = self.ddg
+            readers = self._readers.get(before)
+            if readers is None:
+                readers = self._readers[before] = tuple(
+                    g.consumers(before.node, before.rtype)
+                )
             target = after.node
             proto = tuple(
-                (reader, serialization_latency(self.ddg, reader, target, self.mode))
-                for reader in self.ddg.consumers(before.node, before.rtype)
+                (reader, serialization_latency(g, reader, target, self.mode))
+                for reader in readers
                 if reader != target
             )
             self._proto_edges_cache[key] = proto
@@ -248,47 +253,38 @@ class ReductionSession:
             self._cp = ctx.critical_path_length()
             self._cp_state_version = self.ddg.version
 
-    def _patch_cp_state(self, records) -> set:
+    def _patch_cp_state(self, records) -> None:
         """Relax the warm sink-distance map over freshly added arcs.
 
         Adding arcs only ever lengthens longest paths, so a monotone
         worklist relaxation from the arc endpoints reproduces the full
         recompute exactly (same integer arithmetic) while touching only the
-        affected region.  Returns the set of nodes whose sink distance
-        changed -- precisely the upstream dirty region the verdict
-        invalidation needs.  The mirror's :class:`IncrementalAnalysis`
-        relaxes the ASAP times the same way.
+        affected region.  The mirror's :class:`IncrementalAnalysis` relaxes
+        the ASAP times the same way.
         """
 
         g = self.ddg
         sinks = self._to_sinks
+        cp = self._cp
         queue: List[str] = []
-        changed: set = set()
         for record in records:
             edge = record.edge
             cand = edge.latency + sinks[edge.dst]
             if cand > sinks[edge.src]:
                 sinks[edge.src] = cand
-                changed.add(edge.src)
                 queue.append(edge.src)
         while queue:
             v = queue.pop()
             base = sinks[v]
+            if base > cp:
+                cp = base
             for edge in g.in_edges(v):
                 cand = edge.latency + base
                 if cand > sinks[edge.src]:
                     sinks[edge.src] = cand
-                    changed.add(edge.src)
                     queue.append(edge.src)
-        if changed:
-            cp = self._cp
-            for v in changed:
-                d = sinks[v]
-                if d > cp:
-                    cp = d
-            self._cp = int(cp)
+        self._cp = int(cp)
         self._cp_state_version = g.version
-        return changed
 
     def legal_serialization(self, before: Value, after: Value) -> Optional[List[Edge]]:
         """Same contract as :func:`repro.reduction.serialization.legal_serialization`,
@@ -332,14 +328,16 @@ class ReductionSession:
         pairs per iteration and one winner, the allocation churn dominated
         the loop.
 
-        The scan runs off a dirty-pair worklist: verdicts from the previous
-        iteration whose endpoints were untouched by the applied
-        serialization are returned verbatim (counted in
-        ``pair_verdicts_reused``).  A cached candidate verdict stores the
-        pair-local quantity ``X = max(asap[target], asap[reader]+latency)
-        + to_sinks[target]`` rather than the cp increase, so the global
-        critical path -- which any push may move -- is re-read fresh on
-        every reuse; the arithmetic is bit-for-bit the fresh path's.
+        The answer is always exact.  A cached rejection, or a cached
+        candidate stamped with the current epoch, is returned as it is
+        (counted in ``pair_verdicts_reused``); a candidate stamped earlier
+        is only a lower bound (see :meth:`_store_verdict`), so it is
+        re-derived first (counted in ``lazy_rederivations``).  A cached
+        candidate stores the pair-local quantity ``X = max(asap[target],
+        asap[reader]+latency) + to_sinks[target]`` rather than the cp
+        increase, so the global critical path -- which any push may move --
+        is re-read fresh on every reuse; the arithmetic is bit-for-bit the
+        fresh path's.
 
         The ``pair_scan`` stage timer is fed per *iteration* by the loop
         driver (:meth:`record_scan_time`), not here: with O(|antichain|^2)
@@ -349,13 +347,20 @@ class ReductionSession:
 
         key = self._pair_key(before, after)
         verdict = self._pair_verdicts.get(key)
-        if verdict is not None:
-            self.stats["pair_verdicts_reused"] += 1
-        else:
+        if verdict is None:
             verdict = self._consider_fresh(before, after, key)
-            self._store_verdict(key, verdict, after)
+            self._store_verdict(key, verdict)
+        elif (
+            verdict is not self._V_NONE
+            and verdict is not self._V_IMPLIED
+            and verdict[0] != self._epoch
+        ):
+            self.stats["lazy_rederivations"] += 1
+            verdict = self._consider_fresh(before, after, key)
+            self._store_verdict(key, verdict)
+        else:
+            self.stats["pair_verdicts_reused"] += 1
         if verdict is self._V_IMPLIED:
-            self.stats["implied_skipped"] += 1
             return self.IMPLIED
         if verdict is self._V_NONE:
             return None
@@ -363,19 +368,25 @@ class ReductionSession:
         self._refresh_cp_state()
         return int(max(self._cp, x)) - base_cp, arc_count, payload
 
-    def scan(self, saturating, base_cp: int) -> Tuple[Optional[Tuple], int]:
+    def scan(self, saturating, base_cp: int) -> Optional[Tuple]:
         """The candidate-pair scan, inlined (the driver fast path).
 
         Walks the ordered pairs of *saturating* values through the verdict
-        cache exactly as per-pair :meth:`consider` calls would, with the
-        pair keys, the critical-path refresh, and the stats bookkeeping
-        hoisted out of the quadratic loop.  The walk ends at the first pair
-        scoring :func:`scan_floor`, which no later pair can beat.  Returns
-        ``(best, implied_count)`` where *best* is
-        ``((cp_increase, arc_count), payload)`` for the winning pair under
-        the same strict lexicographic order the generic driver loop uses,
-        or None when no pair is applicable; *implied_count* counts the
-        IMPLIED pairs among those visited.
+        cache, with the pair keys, the critical-path refresh and the stats
+        bookkeeping hoisted out of the quadratic loop, and returns
+        ``((cp_increase, arc_count), payload)`` for the first pair with the
+        strictly least key, or None when no pair is applicable.  The walk
+        ends at the first pair scoring :func:`scan_floor`, which no later
+        pair can beat.
+
+        A cached candidate stamped before the current epoch is a lower
+        bound of the pair's key (:meth:`_store_verdict`).  The scan skips it
+        when that bound does not beat the best key so far, and re-derives it
+        (``lazy_rederivations``) before comparing otherwise.  The winner and
+        the stop are those of a scan that evaluates every pair exactly: a
+        skipped pair's true key is at least its bound, hence at least the
+        best key, so it could not have become the first strict minimum, and
+        every pair that could is compared on its exact key.
         """
 
         verdicts = self._pair_verdicts
@@ -385,8 +396,9 @@ class ReductionSession:
         none = self._V_NONE
         fresh = self._consider_fresh
         store = self._store_verdict
+        epoch = self._epoch
         reused = 0
-        implied_count = 0
+        rederived = 0
         best_key: Optional[Tuple[int, int]] = None
         best: Optional[Tuple] = None
         self._refresh_cp_state()
@@ -405,13 +417,20 @@ class ReductionSession:
                 verdict = verdicts.get(key)
                 if verdict is None:
                     verdict = fresh(u, v, key)
-                    store(key, verdict, v)
-                else:
+                    store(key, verdict)
+                elif verdict is none or verdict is implied or verdict[0] == epoch:
                     reused += 1
-                if verdict is implied:
-                    implied_count += 1
-                    continue
-                if verdict is none:
+                else:
+                    # A stale candidate: a lower bound of the pair's key.
+                    x = verdict[1]
+                    bound = (int(x if x > cp else cp) - base_cp, verdict[2])
+                    if best_key is not None and bound >= best_key:
+                        reused += 1
+                        continue
+                    rederived += 1
+                    verdict = fresh(u, v, key)
+                    store(key, verdict)
+                if verdict is implied or verdict is none:
                     continue
                 _, x, arc_count, payload = verdict
                 inc = int(x if x > cp else cp) - base_cp
@@ -423,45 +442,55 @@ class ReductionSession:
             else:
                 continue
             break  # the inner loop reached the floor
-        self.stats["pair_verdicts_reused"] += reused
-        self.stats["implied_skipped"] += implied_count
-        return best, implied_count
+        stats = self.stats
+        stats["pair_verdicts_reused"] += reused
+        stats["lazy_rederivations"] += rederived
+        return best
 
-    def _register_verdict_key(self, key: object, target_node: str) -> None:
-        """Index a candidate verdict under the nodes it reads."""
+    def _store_verdict(self, key: object, verdict: Tuple) -> None:
+        """Cache a verdict derived on the current graph, logged for `pop`.
 
-        index = self._verdict_node_keys
-        bucket = index.get(target_node)
-        if bucket is None:
-            bucket = index[target_node] = set()
-        bucket.add(key)
-        for reader, _latency in self._proto_edges_cache[key]:
-            bucket = index.get(reader)
-            if bucket is None:
-                bucket = index[reader] = set()
-            bucket.add(key)
+        A push only adds arcs or raises latencies, so reachability, arc
+        latencies, longest paths, ASAP times and sink distances only grow.
+        Every cached verdict was derived on a prefix of the current push
+        stack, and it relates to the pair's current verdict as follows.
 
-    def _store_verdict(self, key: object, verdict: Tuple, after: Value) -> None:
-        """Store a fresh verdict; only a candidate is indexed for invalidation.
+        * A rejection (``_V_NONE`` or ``_V_IMPLIED``) is final.  A pair is
+          rejected when an endpoint is ⊥, it has no proto reader, every
+          reader already has a dominating arc to the target, an undominated
+          reader is reachable from the target, or every reader reaches the
+          target on a path at least as long as its arc (IMPLIED).  Each
+          survives a push: in the cycle case the reader can never gain an
+          arc to the target, because that arc would close a cycle.
+        * A candidate ``(epoch, x, arc_count, payload)`` is a lower bound.
+          Its kept arcs change in only two ways: a pushed arc into the
+          target dominates one of them, and that push drops the candidate
+          (:meth:`push`); or the whole pair turns into a rejection.  So a
+          retained candidate either keeps its payload and arc count or is
+          now rejected.  Its ``x = max(asap[T], max asap[R] + lat) +
+          to_sinks[T]`` never falls, because ASAP times and sink distances
+          only grow.  Its key ``(max(cp, x) - base_cp, arc_count)``, with
+          the current cp, is therefore never above the pair's true key.
 
-        A rejected (``_V_NONE``) or implied (``_V_IMPLIED``) verdict stays
-        until the pop of the frame that stored it.  A push only adds arcs or
-        raises latencies, so reachability, direct-arc latencies and longest
-        paths only grow.  A pair is rejected when an endpoint is ⊥, it has
-        no proto reader, every reader already has a dominating arc to the
-        target, or an undominated reader is reachable from the target.
-        Each survives a push: in the last case the reader can never gain an
-        arc to the target, because that arc would close a cycle.  An
-        implied pair stays implied for the same reason: its readers' paths
-        to the target only grow.
+        A candidate stamped with the current epoch was derived on the
+        current graph and is exact.  Only candidates under int keys are
+        cached: the destination drop finds a target's candidates by key
+        arithmetic.
         """
 
-        self._pair_verdicts[key] = verdict
+        if (
+            type(key) is not int
+            and verdict is not self._V_NONE
+            and verdict is not self._V_IMPLIED
+        ):
+            return
+        verdicts = self._pair_verdicts
         frames = self._verdict_frames
         if frames:
-            frames[-1][1].append(key)
-        if verdict is not self._V_NONE and verdict is not self._V_IMPLIED:
-            self._register_verdict_key(key, after.node)
+            frame = frames[-1]
+            if key not in frame:
+                frame[key] = verdicts.get(key)
+        verdicts[key] = verdict
 
     def record_scan_time(self, seconds: float) -> None:
         """Accumulate one iteration's candidate-scan wall clock (stage timer)."""
@@ -474,7 +503,8 @@ class ReductionSession:
         Because all of the pair's arcs end at the same target, the extended
         critical path closed-forms to
         ``max(cp, max(asap[target], asap[reader] + latency) + to_sinks[target])``
-        -- no longest-path matrix, no graph copy.
+        -- no longest-path matrix, no graph copy.  A candidate is stamped
+        with the current epoch.
         """
 
         if after.node == BOTTOM or before.node == BOTTOM:
@@ -511,7 +541,7 @@ class ReductionSession:
             if cand > best_target:
                 best_target = cand
         x = best_target + self._to_sinks[target]
-        return ("cand", x, len(kept), (target, kept))
+        return (self._epoch, x, len(kept), (target, kept))
 
     def apply_payload(self, payload) -> List[Edge]:
         """Materialise and push the arcs of a winning :meth:`consider` payload."""
@@ -535,92 +565,52 @@ class ReductionSession:
         :class:`~repro.errors.CyclicGraphError` from
         :meth:`~repro.saturation.incremental.IncrementalSaturation.push`
         before anything is mutated.
+
+        Opens the verdict cache's undo frame and drops the cached
+        candidates whose target is the destination of an applied arc (read
+        off the mirror's undo frame): only such an arc can dominate one of
+        a candidate's kept arcs (see :meth:`_store_verdict`).  A target's
+        candidates sit under the int keys ``ui * n + vi`` of its value
+        index ``vi``, at most ``n`` per arc, so no index is kept.
         """
 
         cp_fresh = self._cp_state_version == self.ddg.version
         records = self._saturation.push(edges).records
         self.stats["pushes"] += 1
-        changed_sinks = self._patch_cp_state(records) if cp_fresh else None
-        self._invalidate_verdicts(records, changed_sinks)
-
-    def _invalidate_verdicts(self, records, changed_sinks: Optional[set]) -> None:
-        """Frame the pair-verdict cache and drop the dirty candidates.
-
-        Applied arcs (*records*, read off the mirror's undo frame; no-op
-        pushes dirty nothing) can move a candidate's verdict only through
-        nodes in ``{dst} ∪ desc(dst)`` per arc plus the nodes whose longest
-        path to the sinks changed: the target's ASAP window, its descendant
-        set, and every longest path *into* it change only at-or-below the
-        arc, while the only upstream input a verdict reads is
-        ``to_sinks[target]``.  When the warm cp state was patched through
-        the push, *changed_sinks* is that exact affected set; a cold state
-        falls back to the conservative ``anc(src)`` superset.  Candidates
-        whose target and proto readers all avoid the region provably keep
-        last iteration's verdict, and rejected or implied verdicts are
-        never dropped (see :meth:`_store_verdict`).
-        """
-
+        if cp_fresh:
+            self._patch_cp_state(records)
+        self._epoch += 1
+        frame: Dict[object, Optional[Tuple]] = {}
+        self._verdict_frames.append(frame)
         verdicts = self._pair_verdicts
-        dropped: Dict[object, Tuple] = {}
-        added: List[object] = []
-        self._verdict_frames.append((dropped, added))
-        if not records or not verdicts:
+        if not verdicts:
             return
-        dirty: set = set()
-        mirror = self._mirror
-        desc = mirror.descendants_incl()
-        for record in records:
-            dirty.add(record.edge.dst)
-            dirty |= desc[record.edge.dst]
-        if changed_sinks is None:
-            for record in records:
-                dirty |= mirror.ancestors_incl(record.edge.src)
-        else:
-            dirty |= changed_sinks
-            self.stats["verdict_exact_regions"] += 1
-        # Inverted filter: walk the dirty nodes' key buckets instead of
-        # testing every cached verdict -- same retention (a candidate is
-        # indexed under exactly its target and proto readers), O(|dirty| +
-        # dropped) instead of O(|cache|).  Dropped entries land in the undo
-        # frame so `pop` can restore them without the dict ever being
-        # copied.
+        vindex = self._vindex
+        n = self._nvals
         none, implied = self._V_NONE, self._V_IMPLIED
-        index = self._verdict_node_keys
-        for node in dirty:
-            keys = index.pop(node, None)
-            if keys:
-                # The bucket is consumed: each key is dropped now, already
-                # gone, or settled (a candidate re-derived as a rejection
-                # keeps its old buckets).  `pop` re-registers what it puts
-                # back, so nothing is walked twice across pushes.
-                for key in keys:
-                    v = verdicts.get(key)
-                    if v is None or v is none or v is implied:
-                        continue
-                    del verdicts[key]
-                    dropped[key] = v
+        for record in records:
+            vi = vindex.get(record.edge.dst)
+            if vi is None:
+                continue
+            for key in range(vi, n * n, n):
+                verdict = verdicts.get(key)
+                if verdict is None or verdict is none or verdict is implied:
+                    continue
+                del verdicts[key]
+                frame[key] = verdict
 
     def pop(self) -> None:
         """Undo the most recent push, restoring the exact prior state."""
 
         self._saturation.pop()
         self.stats["pops"] += 1
-        dropped, added = self._verdict_frames.pop()
+        self._epoch += 1
         verdicts = self._pair_verdicts
-        for key in added:
-            verdicts.pop(key, None)
-        if dropped:
-            verdicts.update(dropped)
-            # Restored candidates must be findable by future invalidations:
-            # the push that dropped them consumed their dirty-node buckets.
-            register = self._register_verdict_key
-            values = self._values_by_index
-            nvals = self._nvals
-            for key in dropped:
-                if type(key) is int:
-                    register(key, values[key % nvals].node)
-                else:
-                    register(key, key[1].node)
+        for key, verdict in self._verdict_frames.pop().items():
+            if verdict is None:
+                verdicts.pop(key, None)
+            else:
+                verdicts[key] = verdict
 
     def reset_to_depth(self, depth: int) -> None:
         """Pop frames until exactly *depth* pushes remain applied.

@@ -63,6 +63,7 @@ from typing import (
     Mapping,
     MutableMapping,
     Optional,
+    Sequence,
     Set,
     Tuple,
     Union,
@@ -1247,10 +1248,11 @@ class _ReachDVState(_DVState):
     killer's DV row is its entry masked to the low ``nv`` bits, with no
     translation step.
 
-    **Rebuild and patch.**  Both build the successor lists of ``G→k`` from
-    the bottom mirror's flat adjacency plus the killing slots, then close
-    them in one iterative DFS post-order, which also finds a cycle.  No
-    DDG is copied and no longest path is computed.  The mirror already
+    **Rebuild and patch.**  Both close ``G→k`` over the bottom mirror's
+    flat adjacency in place: the killing arcs go onto its out-lists as
+    op-id pairs for the length of one iterative DFS post-order, which also
+    finds a cycle.  No successor list is built, no DDG is copied and no
+    longest path is computed.  The mirror already
     holds every deferred push, so a patch simply closes the new function's
     graph on it and hands the antichain engine the DV rows that changed; a
     rebuild seeds a new engine with every row.
@@ -1283,28 +1285,46 @@ class _ReachDVState(_DVState):
             self._bit.append(1 << j)
         self._killer_bits: List[int] = []
 
-    def _successors(self, kf, pk: Mapping[Value, List[str]]) -> List[List[int]]:
-        """Out-lists of ``G→k`` over op ids: the mirror's arcs plus the killing slots."""
+    def _killed_reach(self, kf, pk: Mapping[Value, List[str]]) -> Optional[List[int]]:
+        """The reach table of ``G→k``, closed over the mirror's flat adjacency.
 
-        from .pkill import killing_arc_slots  # local: avoids import cycle
+        The killing arcs go onto the adjacency's out-lists in place, as
+        ``(killer id, 0)`` pairs, for the length of one :meth:`_closure`,
+        and are cut off again before this returns.
+        """
 
-        mirror = self._mirror
-        succ = [[dst for dst, _w in pairs] for pairs in mirror._adj_pairs()]
-        op_id = mirror.op_id
-        for other, killer in killing_arc_slots(kf, pk):
-            succ[op_id(other)].append(op_id(killer))
-        return succ
+        op_id = self._mirror.interner.id
+        adj = self._mirror._adj_pairs()
+        grown: Dict[int, int] = {}
+        try:
+            for value, killer in kf.items():
+                others = pk.get(value)
+                if not others or (len(others) == 1 and others[0] == killer):
+                    continue  # no other potential killer: no killing arc
+                arc = (op_id(killer), 0)
+                for other in others:
+                    if other != killer:
+                        oid = op_id(other)
+                        out = adj[oid]
+                        if oid not in grown:
+                            grown[oid] = len(out)
+                        out.append(arc)
+            return self._closure(adj)
+        finally:
+            for oid, size in grown.items():
+                del adj[oid][size:]
 
-    def _closure(self, succ: List[List[int]]) -> Optional[List[int]]:
-        """The reach table of the graph *succ*, or None when it has a cycle.
+    def _closure(self, adj: Sequence[List[Tuple[int, int]]]) -> Optional[List[int]]:
+        """The reach table of the graph *adj*, or None when it has a cycle.
 
+        *adj* maps an op id to its out-arcs as ``(dst id, latency)`` pairs.
         One iterative DFS: an op's entry is its own bit OR its successors'
         entries, filled in post-order; meeting an op still on the DFS path
         is a back arc, hence a cycle.
         """
 
         bit = self._bit
-        n = len(succ)
+        n = len(adj)
         reach = [0] * n
         state = [0] * n  # 0: unseen, 1: on the DFS path, 2: closed
         for root in range(n):
@@ -1312,14 +1332,14 @@ class _ReachDVState(_DVState):
                 continue
             state[root] = 1
             path = [root]
-            todo = [iter(succ[root])]
+            todo = [iter(adj[root])]
             while path:
-                for w in todo[-1]:
+                for w, _latency in todo[-1]:
                     seen = state[w]
                     if not seen:
                         state[w] = 1
                         path.append(w)
-                        todo.append(iter(succ[w]))
+                        todo.append(iter(adj[w]))
                         break
                     if seen == 1:
                         return None
@@ -1327,7 +1347,7 @@ class _ReachDVState(_DVState):
                     v = path.pop()
                     todo.pop()
                     r = bit[v]
-                    for w in succ[v]:
+                    for w, _latency in adj[v]:
                         r |= reach[w]
                     reach[v] = r
                     state[v] = 2
@@ -1346,7 +1366,7 @@ class _ReachDVState(_DVState):
         self._pending = []
         self._adopt(kf, pk)
         self.valid = True
-        reach = self._closure(self._successors(kf, pk))
+        reach = self._killed_reach(kf, pk)
         if reach is None:
             self._drop_warm()
             return
@@ -1376,7 +1396,7 @@ class _ReachDVState(_DVState):
         self._frames = []
         engine.clear_frames()
         self._adopt(kf, pk)
-        reach = self._closure(self._successors(kf, pk))
+        reach = self._killed_reach(kf, pk)
         if reach is None:
             if deferred and self._slot_diff_cyclic(old_mapping, old_pk, kf, pk, deferred):
                 self._note_skipped(deferred)
@@ -1414,14 +1434,14 @@ class _ReachDVState(_DVState):
 
         mirror = self._mirror
         g, op_id, name_of = mirror.ddg, mirror.op_id, mirror.interner.name
-        succ = [[dst for dst, _w in pairs] for pairs in mirror._adj_pairs()]
+        adj = [[(dst, 0) for dst, _w in pairs] for pairs in mirror._adj_pairs()]
         deferred_serial: Set[Tuple[int, int]] = set()
         for frame in mirror._frames[len(mirror._frames) - deferred:]:
             for record in frame.records:
                 if record.replaced is None:
                     edge = record.edge
                     arc = (op_id(edge.src), op_id(edge.dst))
-                    succ[arc[0]].remove(arc[1])
+                    adj[arc[0]].remove((arc[1], 0))
                     if edge.kind is DependenceKind.SERIAL and edge.rtype is None:
                         deferred_serial.add(arc)
 
@@ -1438,8 +1458,8 @@ class _ReachDVState(_DVState):
         if all(mirror_serial(s) and s not in deferred_serial for s in new - old):
             return False  # no slot was added, so the diff closed no cycle
         for arc in new | {s for s in old - new if mirror_serial(s)}:
-            succ[arc[0]].append(arc[1])
-        return self._closure(succ) is None
+            adj[arc[0]].append((arc[1], 0))
+        return self._closure(adj) is None
 
     def sync(self, edges) -> None:
         """Mirror a push of the base graph by ORing reach sets."""

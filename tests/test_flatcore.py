@@ -11,15 +11,18 @@ conversion boundaries the rewrite must not move:
 * byte-identical reduction reports between the flat incremental engine and
   the from-scratch reference on the paper kernels and a scale instance
   (the benchmark extends the population up to the 200/240-op superblocks);
-* verdict parity under the exact dirty-region invalidation (PR 6 replaced
-  the conservative ``anc(src)`` half of the pair-verdict invalidation with
-  the exact set read off a sink-distance diff);
+* the pair-verdict cache's invariant: a rejection is final, and a cached
+  candidate bounds a cold evaluation of its pair from below (exact when
+  stamped with the current epoch), after every push and every
+  ``reset_to_depth``;
 * the lazy candidate-sync protocol (deferred pushes are dropped, not
   replayed, when the candidate is popped or rebuilt before being evaluated,
   surfaced by the ``dv_syncs_skipped`` counter).
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -214,74 +217,77 @@ def _verdict_loop_graph(name):
     return layered_random_ddg(nodes=16, layers=4, seed=int(name.split("-")[1]))
 
 
-class TestExactVerdictInvalidation:
+class TestLowerBoundVerdicts:
+    """The verdict cache holds final rejections and lower-bound candidates."""
+
+    @staticmethod
+    def _check_cache(session, settled):
+        """Every cached verdict against a cold evaluation on the current graph.
+
+        A rejection is exact.  A candidate's cold verdict is a rejection or
+        keeps its payload and arc count with an ``x`` no smaller, and a
+        candidate stamped with the current epoch is exact.  *settled* holds
+        the rejections cached before the last push, none of which it may
+        drop.
+        """
+
+        n = session._nvals
+        values = session._values_by_index
+        rejections = (session._V_NONE, session._V_IMPLIED)
+        verdicts = session._pair_verdicts
+        for key, verdict in settled.items():
+            assert verdicts.get(key) is verdict, f"rejection {key} dropped"
+        for key, verdict in list(verdicts.items()):
+            if type(key) is int:
+                before, after = values[key // n], values[key % n]
+            else:
+                before, after = key
+            cold = session._consider_fresh(before, after)
+            if verdict in rejections:
+                assert cold is verdict, f"rejection of {before} -> {after} turned"
+            elif verdict[0] == session._epoch:
+                assert cold == verdict, f"current candidate {before} -> {after} stale"
+            elif cold not in rejections:
+                assert cold[2:] == verdict[2:], f"kept arcs of {before} -> {after} moved"
+                assert cold[1] >= verdict[1], f"x of {before} -> {after} fell"
+
     @pytest.mark.parametrize(
         "name, registers",
         [("scale-n56", 4), ("vliw-ro1", 3)] + [(f"layered-{s}", 2) for s in range(10)],
     )
-    def test_retained_verdicts_match_fresh_recompute(self, name, registers):
-        """Property: every verdict the invalidation keeps across a push
-        equals what a cold evaluation of that pair would produce now, and
-        no push drops a rejected or implied verdict."""
+    def test_retained_verdicts_bound_a_cold_recompute(self, name, registers):
+        """Property: after every push and every `reset_to_depth`, each
+        cached verdict relates to a cold evaluation of its pair as
+        `_store_verdict` states, and no push drops a rejection."""
 
         ddg = _verdict_loop_graph(name)
         rtype = ddg.register_types()[0]
         session = ReductionSession(ddg, rtype)
-        n = session._nvals
-        values = session._values_by_index
-        settled = (session._V_NONE, session._V_IMPLIED)
+        rejections = (session._V_NONE, session._V_IMPLIED)
+        rng = random.Random(name)
 
         current = session.saturation()
-        while current.rs > registers:
+        for _ in range(60):
+            if current.rs <= registers:
+                break
             saturating = list(current.saturating_values)
-            best, _implied = session.scan(saturating, session.critical_path())
+            best = session.scan(saturating, session.critical_path())
             if best is None:
                 break
-            held = {
+            settled = {
                 key: verdict
                 for key, verdict in session._pair_verdicts.items()
-                if verdict in settled
+                if verdict in rejections
             }
             session.apply_payload(best[1])
-            verdicts = session._pair_verdicts
-            for key, verdict in held.items():
-                assert verdicts.get(key) is verdict, f"settled verdict {key} dropped"
-            # Every retained verdict must be bit-for-bit what a fresh
-            # evaluation produces on the post-push graph.
-            for key, verdict in list(verdicts.items()):
-                if type(key) is int:
-                    before, after = values[key // n], values[key % n]
-                else:
-                    before, after = key
-                assert session._consider_fresh(before, after) == verdict, (
-                    f"stale verdict retained for {before} -> {after}"
-                )
+            self._check_cache(session, settled)
+            if rng.random() < 0.25:
+                session.reset_to_depth(rng.randrange(session.depth))
+                self._check_cache(session, {})
             current = session.saturation()
 
         # layered-2 has no legal pair at all: its loop is stuck at once.
         assert session.stats["pushes"] > 0 or name == "layered-2"
-        assert session.stats["verdict_exact_regions"] == session.stats["pushes"], (
-            "the driver loop keeps the sink-distance map warm, so every push "
-            "must take the exact invalidation path"
-        )
-
-    def test_cold_sink_state_falls_back_conservatively(self):
-        entry = _scale(40)
-        rtype = entry.ddg.register_types()[0]
-        session = ReductionSession(entry.ddg, rtype)
-        saturating = list(session.saturation().saturating_values)
-        for u in saturating:
-            for v in saturating:
-                if u == v:
-                    continue
-                edges = session.legal_serialization(u, v)
-                if edges:
-                    # No consider/scan ran: the sink-distance map is cold, so
-                    # the push must use the conservative anc(src) region.
-                    session.push(edges)
-                    assert session.stats["verdict_exact_regions"] == 0
-                    return
-        pytest.skip("no legal serialization on this instance")
 
 
 class TestLazySync:
@@ -322,7 +328,7 @@ class TestLazySync:
         current = session.saturation()
         for _ in range(3):
             saturating = list(current.saturating_values)
-            best, _implied = session.scan(saturating, session.critical_path())
+            best = session.scan(saturating, session.critical_path())
             if best is None:
                 break
             session.apply_payload(best[1])

@@ -48,13 +48,15 @@ import pytest
 
 from repro.analysis.antichain import closure_from_rows
 from repro.analysis.context import context_for
+from repro.codes import kernel_suite, scale_suite
 from repro.codes.generator import layered_random_ddg, random_superblock
 from repro.core.graph import Edge
 from repro.core.machine import retarget, vliw
 from repro.core.schedule import asap_schedule, list_schedule_priority
-from repro.core.types import BOTTOM, INT, DependenceKind
+from repro.core.types import BOTTOM, INT, DependenceKind, Value
 from repro.reduction import ReductionSession, reduce_saturation_heuristic
 from repro.reduction.heuristic import _HeuristicLoop, _SessionDriver
+from repro.reduction.session import scan_floor
 from repro.reduction.serialization import SerializationMode
 from repro.saturation.dvk import saturating_antichain
 from repro.saturation.greedy import greedy_killing_function, greedy_saturation
@@ -273,6 +275,27 @@ class TestPairVerdictWorklist:
         session.pop()
         assert session._pair_verdicts == snapshot
 
+        # A scan after a push re-derives stale candidates in place; the
+        # push's pop must put back the verdicts they replaced.
+        checked = 0
+        for _ in range(8):
+            best = session.scan(list(sat.saturating_values), session.critical_path())
+            if best is None:
+                break
+            snapshot = dict(session._pair_verdicts)
+            session.apply_payload(best[1])
+            sat = session.saturation()
+            rederived = session.stats["lazy_rederivations"]
+            session.scan(list(sat.saturating_values), session.critical_path())
+            if session.stats["lazy_rederivations"] > rederived:
+                checked += 1
+            session.pop()
+            assert session._pair_verdicts == snapshot
+            # Walk on: re-apply the same winner.
+            session.apply_payload(best[1])
+            sat = session.saturation()
+        assert checked > 0, "no scan re-derived a stale candidate"
+
 
 #: A VLIW whose unit classes read at different offsets, so killers tied on
 #: ASAP time can differ in read date.
@@ -287,25 +310,36 @@ def _classed_retarget(ddg, seed):
     return retarget(g, _CLASSED_VLIW)
 
 
-def _full_scan(session, saturating, base_cp):
-    """Reference scan: score every ordered pair, keep the first minimum.
+def _reference_scan(session, saturating, base_cp, stop_at_floor=True):
+    """The exact scan, side-effect free: every pair in order, evaluated
+    cold with ``_consider_fresh``, keeping the first strict minimum.
 
-    Returns ``(best, winner_index, implied_flags)``: the winner as
+    Returns ``(best, winner_index, pair_count)``: the winner as
     ``((cp_increase, arc_count), payload)`` (None when no pair applies),
-    its position in the pair order, and one IMPLIED flag per pair.
+    its position in the pair order, and the number of ordered pairs.  With
+    *stop_at_floor* the walk ends at the first pair scoring
+    :func:`scan_floor`.  The session's counters are put back.
     """
 
-    best, winner, implied = None, None, []
+    stats = dict(session.stats)
+    cp = session.critical_path()
+    floor = scan_floor(cp, base_cp)
+    rejections = (session._V_NONE, session._V_IMPLIED)
     pairs = [(u, v) for u in saturating for v in saturating if u != v]
+    best, winner = None, None
     for index, (u, v) in enumerate(pairs):
-        verdict = session.consider(u, v, base_cp)
-        implied.append(verdict is session.IMPLIED)
-        if verdict is session.IMPLIED or verdict is None:
+        verdict = session._consider_fresh(u, v)
+        if verdict in rejections:
             continue
-        cp_increase, arc_count, payload = verdict
-        if best is None or (cp_increase, arc_count) < best[0]:
-            best, winner = ((cp_increase, arc_count), payload), index
-    return best, winner, implied
+        _epoch, x, arc_count, payload = verdict
+        key = (int(max(cp, x)) - base_cp, arc_count)
+        if best is None or key < best[0]:
+            best, winner = (key, payload), index
+            if stop_at_floor and key == floor:
+                break
+    session.stats.clear()
+    session.stats.update(stats)
+    return best, winner, len(pairs)
 
 
 class TestScanFloor:
@@ -316,17 +350,15 @@ class TestScanFloor:
 
         def checked(session):
             def scan(saturating, base_cp):
+                best, winner, pairs = _reference_scan(
+                    session, saturating, base_cp, stop_at_floor=False
+                )
                 got = session.scan(saturating, base_cp)
-                best, winner, implied = _full_scan(session, saturating, base_cp)
-                assert got[0] == best
-                stop = len(implied) - 1
+                assert got == best
                 if best is not None and best[0] == (0, 1):
-                    stop = winner
-                    seen["early"] += winner < len(implied) - 1
+                    seen["early"] += winner < pairs - 1
                 elif best is not None:
                     seen["above_floor"] += 1
-                # Only the pairs visited before the stop are counted.
-                assert got[1] == sum(implied[: stop + 1])
                 return got
 
             return scan
@@ -340,6 +372,81 @@ class TestScanFloor:
                 _HeuristicLoop(driver, 500).run_to(driver.saturation(), 3)
         # Both the early stop and the full walk are exercised.
         assert seen["early"] > 0 and seen["above_floor"] > 0
+
+
+class TestExactScanOracle:
+    """The lazy scan's winner is the exact scan's, at every iteration.
+
+    A cached candidate is only a lower bound once a push or pop moved the
+    epoch; `scan` re-derives it when it could win.  Random
+    ``reset_to_depth`` calls between iterations restore older verdicts,
+    which are then stale too.
+    """
+
+    @staticmethod
+    def _population():
+        for seed in range(10):
+            base = layered_random_ddg(nodes=16, layers=4, seed=seed)
+            yield f"layered-{seed}", base, 2
+            yield f"layered-{seed}-ro2", retarget(base, vliw(read_offset=2)), 2
+            yield f"layered-{seed}-classed", _classed_retarget(base, seed), 2
+        yield "scale-n56", scale_suite(sizes=(56,), superblock_sizes=())[0].ddg, 4
+
+    def test_scan_equals_the_exact_reference(self):
+        scans = resets = rederived = 0
+        for name, ddg, registers in self._population():
+            rng = random.Random(name)
+            session = ReductionSession(ddg, ddg.register_types()[0])
+            current = session.saturation()
+            for iteration in range(80):
+                if current.rs <= registers:
+                    break
+                saturating = list(current.saturating_values)
+                base_cp = session.critical_path()
+                expected, _winner, _pairs = _reference_scan(session, saturating, base_cp)
+                got = session.scan(saturating, base_cp)
+                assert got == expected, f"{name}: iteration {iteration}"
+                scans += 1
+                if got is None:
+                    break
+                session.apply_payload(got[1])
+                if rng.random() < 0.2:
+                    session.reset_to_depth(rng.randrange(session.depth))
+                    resets += 1
+                current = session.saturation()
+            rederived += session.stats["lazy_rederivations"]
+        assert scans > 500 and resets > 50 and rederived > 0
+
+
+class TestImpliedPreFilter:
+    def test_implied_pair_on_a_read_offset_2_target(self):
+        """The IMPLIED pre-filter fires for a pair of saturating values.
+
+        On dsp-fir6 retargeted to read at offset 2, ``i24`` reads ``u`` (the
+        value of ``i19``) and defines ``v``.  As ``u``'s killer it reads
+        ``u`` at cycle 2 but writes ``v`` at cycle 1, so ``v`` is not in
+        ``DV_k(u)`` and both values can be saturating.  Once the loop's
+        serializations make ``u``'s other reader ``i20`` reach ``i24``,
+        every reader of ``u`` precedes ``i24``, and the pair is IMPLIED.
+        """
+
+        kernel = {e.name: e for e in kernel_suite()}["dsp-fir6"].ddg
+        ddg = retarget(kernel, vliw(read_offset=2))
+        u, v = Value("i19:add:addr_4", INT), Value("i24:add:addr_5", INT)
+        driver = _SessionDriver(ddg.copy(), INT, SerializationMode.OFFSETS, True)
+        session = driver.session
+        verdicts = []
+
+        def observe(sat):
+            if u in sat.saturating_values and v in sat.saturating_values:
+                verdicts.append(session.consider(u, v, session.critical_path()))
+
+        loop = _HeuristicLoop(driver, 500)
+        loop.on_iteration = observe
+        initial = driver.saturation()
+        observe(initial)
+        loop.run_to(initial, 2)
+        assert any(verdict is session.IMPLIED for verdict in verdicts)
 
 
 def _antichain(g, kf):
