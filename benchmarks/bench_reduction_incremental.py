@@ -457,6 +457,13 @@ def test_scale_sb280_replay():
         "sb240 must exercise the warm candidate paths"
     )
     assert stats["pair_verdicts_reused"] > 0
+    # Greedy-k runs once per iteration; a push that changes no potential-
+    # killer row re-chooses only the components holding a killer whose
+    # drag mask it grew, so walks over every component stay rare (63 of
+    # 432 when this check was added).
+    assert stats["killing_full_passes"] <= result.details["iterations"] // 4, (
+        "most Greedy-k calls must take the push-driven re-choice"
+    )
     _print_stage_profile(entry.name, result, wall_time)
     _record_profile_artifact(entry.name, result, wall_time)
     counters = {k: v for k, v in sorted(stats.items()) if isinstance(v, int)}

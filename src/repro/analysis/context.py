@@ -386,8 +386,12 @@ class AnalysisContext:
         if not self._enabled:
             return graphalgo.would_remain_acyclic(self._ddg, edges)
 
-        reach = self.descendants_map(include_self=False)
-        return graphalgo.mini_graph_remains_acyclic(edges, reach.__getitem__)
+        return graphalgo.mini_graph_remains_acyclic(edges, self._reaches)
+
+    def _reaches(self, u: str, v: str) -> bool:
+        """Whether the graph has a path from *u* to the distinct node *v*."""
+
+        return v in self.descendants_map(include_self=False)[u]
 
     # ------------------------------------------------------------------ #
     # Derived graphs

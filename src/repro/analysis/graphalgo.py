@@ -313,16 +313,17 @@ def extended_critical_path(edges, asap, to_sinks, lp_lookup, base_cp) -> int:
     return int(max(base_cp, through_new))
 
 
-def mini_graph_remains_acyclic(edges, reach_lookup) -> bool:
-    """Whether adding *edges* to a DAG with reachability *reach_lookup* keeps it a DAG.
+def mini_graph_remains_acyclic(edges, reaches) -> bool:
+    """Whether adding *edges* to a DAG with reachability *reaches* keeps it a DAG.
 
     Any new cycle must alternate new arcs with (possibly empty) base paths,
     so it maps to a cycle of the mini-graph over the new arcs' endpoints
     whose extra edges are the base reachability relation.
-    ``reach_lookup(u)`` returns the base graph's strict descendant set of
-    ``u``.  Shared by the context's ``remains_acyclic_with_edges`` and the
-    reduction session's warm legality check.  Kahn's algorithm sorts the
-    mini-graph; unlike a recursive search it leaves no garbage cycle.
+    ``reaches(u, v)`` tells whether the base graph has a path from ``u`` to
+    the distinct node ``v``; the context passes a membership test on its
+    descendant sets, the warm analysis a bit test on its reach bitsets.
+    Kahn's algorithm sorts the mini-graph; unlike a recursive search it
+    leaves no garbage cycle.
     """
 
     edges = list(edges)
@@ -333,10 +334,10 @@ def mini_graph_remains_acyclic(edges, reach_lookup) -> bool:
     for e in edges:
         succ[e.src].add(e.dst)
     for u in nodes:
-        reach_u = reach_lookup(u)
+        succ_u = succ[u]
         for v in nodes:
-            if v != u and v in reach_u:
-                succ[u].add(v)
+            if v != u and reaches(u, v):
+                succ_u.add(v)
     indegree = dict.fromkeys(nodes, 0)
     for targets in succ.values():
         for y in targets:

@@ -306,9 +306,10 @@ def run_reduction_optimality(
         _reduction_instance,
         tasks,
         store=active_store(),
-        # .v3: the engine-counter sum changed keys; the bumped query keeps
-        # stored payloads of the old shape from being served as current.
-        query="experiment.reduction_optimality.v3",
+        # .v4: the engine-counter sum gained killing_full_passes; the
+        # bumped query keeps stored payloads of the old shape from being
+        # served as current.
+        query="experiment.reduction_optimality.v4",
         key_fn=lambda task: (
             context_for(task[0].ddg).graph_hash(),
             {

@@ -409,10 +409,10 @@ def reduce_saturation_heuristic(
     else:
         result = store.memo(
             context_for(ddg).graph_hash(),
-            # .v3: details lost skipped_implied_pairs and engine_stats
-            # changed keys; the bumped query keeps results of the old shape
-            # from being served as current ones.
-            "reduction.heuristic.v3",
+            # .v4: engine_stats gained killing_full_passes; the bumped
+            # query keeps results of the old shape from being served as
+            # current ones.
+            "reduction.heuristic.v4",
             {
                 "rtype": rtype.name,
                 "registers": registers,

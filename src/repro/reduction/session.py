@@ -12,12 +12,12 @@ replaces that with a single working graph mutated in place:
   (``DDG.version`` is bumped by the mutation, so stale context caches can
   never leak), recording an undo frame;
 * :meth:`pop` restores the exact prior graph and analysis state;
-* between pushes, the mirror's structural analyses (descendant maps,
+* between pushes, the mirror's structural analyses (reach bitsets,
   longest-path rows, ASAP times; ⊥ only receives arcs, so they answer for
   the working graph) and the saturation state (potential killers, killers'
-  descendant values, the candidate killing functions) are patched
-  incrementally -- only the dirty region around the new arcs' endpoints is
-  recomputed (see :mod:`repro.saturation.incremental`);
+  drag masks, the candidate killing functions) are patched incrementally
+  -- only the dirty region around the new arcs' endpoints is recomputed
+  (see :mod:`repro.saturation.incremental`);
 * candidate serializations are scored without any graph copy, from cached
   per-pair verdicts: a rejection is final, and a cached candidate is a
   lower bound of its current score that :meth:`scan` re-derives only when
@@ -227,19 +227,20 @@ class ReductionSession:
         by an existing equal-or-stronger arc is dropped (the
         ``skip_existing`` rule of :func:`serialization_edges`), and because
         every arc ends at *target*, a new cycle can only be a base path from
-        the target back to a reader -- a membership test on the warm
-        descendant set.
+        the target back to a reader -- a bit test on the target's warm
+        reach bitset.
         """
 
         g = self.ddg
-        reach_target = self._mirror.descendants_excl()[target]
+        op_id = self._mirror.op_id
+        reach_target = self._mirror.reach_bits()[op_id(target)]
         kept: List[Tuple[str, int]] = []
         for arc in proto:
             reader, latency = arc
             best = g.best_latency_between(reader, target)
             if best is not None and best >= latency:
                 continue
-            if reader in reach_target:
+            if reach_target >> op_id(reader) & 1:
                 return None
             kept.append(arc)
         return kept
@@ -292,8 +293,8 @@ class ReductionSession:
 
         Every serialization arc for a pair ends at ``after``'s operation, so
         a new cycle can only be a base path from the target back to one of
-        the readers -- a handful of set-membership tests on the warm
-        descendant map instead of a mini-graph search.
+        the readers -- a handful of bit tests on the warm reach bitsets
+        instead of a mini-graph search.
         """
 
         if after.node == BOTTOM or before.node == BOTTOM:
@@ -514,14 +515,14 @@ class ReductionSession:
             return self._V_NONE
         target = after.node
         mirror = self._mirror
-        desc = mirror.descendants_excl()
+        reach, op_id = mirror.reach_bits(), mirror.op_id
+        tid = op_id(target)
         # The reachability screen + exact longest-path confirmation of
         # `serialization_implied`, inlined.
         for reader, _latency in proto:
-            if target not in desc[reader]:
+            if not reach[op_id(reader)] >> tid & 1:
                 break
         else:
-            tid = mirror.op_id(target)
             for reader, latency in proto:
                 if mirror.row_by_name(reader)[tid] < latency:
                     break

@@ -13,7 +13,9 @@ one register -- works on killing functions:
    other values as possible below it (minimising the union of the killers'
    descendant values) -- those descendants are exactly the values that the
    killing choice orders *after* the component's values and that therefore
-   cannot enlarge an antichain containing them;
+   cannot enlarge an antichain containing them.  Each killer's *drag*, the
+   values it reaches (itself excluded), is an int bitset, so a subset's
+   drag is an OR and its size a popcount;
 4. assign each value a killer from the chosen set, yielding a killing
    function ``k``; build ``DV_k`` and return the size of its maximum
    antichain.
@@ -30,7 +32,7 @@ value is a true lower bound of the register saturation -- the paper's case
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..analysis.context import AnalysisContext, context_for
 from ..core.graph import DDG
@@ -106,8 +108,10 @@ class ComponentCache:
     the new arcs' endpoints.  This cache keeps the previous decomposition
     and *repairs* it: the copy-on-write ``pk`` maintenance replaces the
     killer-list object of exactly the values whose potential killers
-    changed (and pops restore the old objects), so ``pk[v] is cached_row``
-    identifies the clean values without comparing content.  Components
+    changed (and pops restore the old objects).  The incremental engine
+    records those values per push and hands them in; without them (after
+    a pop) ``pk[v] is cached_row`` identifies the clean values without
+    comparing content.  Components
     containing a dirty value -- or a killer appearing in a dirty value's new
     list, which could link it into an existing component -- are dissolved
     and re-decomposed from the freed sub-relation; everything else is
@@ -127,7 +131,8 @@ class ComponentCache:
     persists into stored result bytes.  ``reused`` counts components
     returned without recomputation (surfaced as ``components_reused``) and
     ``seconds`` accumulates decompose wall clock (the ``greedy_decompose``
-    stage timer).
+    stage timer).  :meth:`components_of` hands back the components that
+    hold given killers, for a caller that re-chooses only those.
     """
 
     def __init__(self) -> None:
@@ -145,16 +150,31 @@ class ComponentCache:
         self.seconds = 0.0
 
     def decompose(
-        self, pk: Mapping[Value, List[str]]
+        self,
+        pk: Mapping[Value, List[str]],
+        changed: Optional[Collection[Value]] = None,
     ) -> List[Tuple[List[Value], List[str]]]:
-        """The components of *pk*, equal to :func:`_bipartite_components`."""
+        """The components of *pk*, equal to :func:`_bipartite_components`.
+
+        *changed* names the values whose pk row object was replaced since
+        the previous call, over the same values; the incremental engine
+        records them per push.  None checks the key set and scans every
+        value's row by identity instead, which a caller must ask for
+        whenever it cannot name them (after a pop, which restores older
+        rows).
+        """
 
         t0 = time.perf_counter()
         try:
-            if self._rows is None or self._rows.keys() != pk.keys():
+            if self._rows is None:
                 return self._rebuild(pk)
-            rows = self._rows
-            dirty = [v for v in pk if rows[v] is not pk[v]]
+            if changed is None:
+                if self._rows.keys() != pk.keys():
+                    return self._rebuild(pk)
+                rows = self._rows
+                dirty = [v for v in pk if rows[v] is not pk[v]]
+            else:
+                dirty = list(changed)
             if not dirty:
                 self.reused += len(self._comps)
                 return [(vals, kills) for _l, vals, kills in self._comps]
@@ -215,20 +235,48 @@ class ComponentCache:
         self._rows = dict(pk)
         return [(vals, kills) for _l, vals, kills in merged]
 
+    def components_of(
+        self, killers: Collection[str]
+    ) -> List[Tuple[List[Value], List[str]]]:
+        """The components of the last decomposition holding any of *killers*."""
 
-def _descendant_values(
-    desc: Mapping[str, Set[str]], killer: str, value_nodes: Set[str]
-) -> FrozenSet[str]:
-    """Values (by producing node) reachable from *killer*, i.e. ordered after it."""
+        where = self._killer_comp
+        comps = self._comps
+        hit = sorted({where[k] for k in killers if k in where})
+        return [(comps[ci][1], comps[ci][2]) for ci in hit]
 
-    return frozenset(desc[killer] & value_nodes)
+
+def _drag_masks(
+    pk: Mapping[Value, List[str]], desc: Mapping[str, Set[str]]
+) -> Dict[str, int]:
+    """Each potential killer's drag from name-keyed descendant sets.
+
+    The drag of killer ``k`` is the set of values ordered after it,
+    ``↓k ∩ V`` without ``k``, as a bitset with value ``i`` of *pk* at bit
+    ``i``; *desc* holds the strict descendants.  The cold Greedy-k path
+    uses it; the incremental engine keeps its own masks over op ids.  Only
+    ORs and popcounts of masks are ever compared, so the bit layout does
+    not matter.
+    """
+
+    bit = {value.node: 1 << i for i, value in enumerate(pk)}
+    value_nodes = frozenset(bit)
+    drag: Dict[str, int] = {}
+    for killers in pk.values():
+        for killer in killers:
+            if killer not in drag:
+                mask = 0
+                for name in desc[killer] & value_nodes:
+                    mask |= bit[name]
+                drag[killer] = mask
+    return drag
 
 
 def _exhaustive_killing_set(
     comp_values: Sequence[Value],
     comp_killers: Sequence[str],
     pk: Mapping[Value, List[str]],
-    desc_values: Mapping[str, FrozenSet[str]],
+    drag: Mapping[str, int],
 ) -> List[str]:
     """The covering subset of least ``(drag, size)``, first in combinations order.
 
@@ -236,9 +284,9 @@ def _exhaustive_killing_set(
     ``n - 1 - i``: among subsets of one size, a larger mask is then an
     earlier ``itertools.combinations`` tuple, so the ``(cost, size, -mask)``
     minimum is the subset the size-by-size combinations scan keeps.  Each
-    mask's cover (component values it kills) and drag (descendant values
-    it orders after the component) is its value without its lowest bit,
-    ORed with that bit's killer, so every subset costs a few int ops.
+    mask's cover (component values it kills) and drag (the OR of its
+    killers' drag masks) is its value without its lowest bit, ORed with
+    that bit's killer, so every subset costs a few int ops.
     """
 
     n = len(comp_killers)
@@ -248,10 +296,8 @@ def _exhaustive_killing_set(
     for j, value in enumerate(comp_values):
         for killer in pk[value]:
             cover_of[pos[killer]] |= 1 << j
-    drag_index: Dict[str, int] = {}
     for killer, p in pos.items():
-        for name in desc_values[killer]:
-            drag_of[p] |= 1 << drag_index.setdefault(name, len(drag_index))
+        drag_of[p] = drag[killer]
     full = (1 << len(comp_values)) - 1
     cover = [0] * (1 << n)
     drag = [0] * (1 << n)
@@ -276,7 +322,7 @@ def _choose_killing_set(
     comp_values: Sequence[Value],
     comp_killers: Sequence[str],
     pk: Mapping[Value, List[str]],
-    desc_values: Mapping[str, FrozenSet[str]],
+    drag: Mapping[str, int],
 ) -> List[str]:
     """Choose killers covering every value of the component with minimal drag.
 
@@ -288,64 +334,77 @@ def _choose_killing_set(
     if len(comp_killers) == 1:
         return [comp_killers[0]]
     if len(comp_killers) <= _EXHAUSTIVE_COMPONENT_LIMIT:
-        return _exhaustive_killing_set(comp_values, comp_killers, pk, desc_values)
+        return _exhaustive_killing_set(comp_values, comp_killers, pk, drag)
 
     uncovered = set(comp_values)
     chosen: List[str] = []
-    dragged: Set[str] = set()
+    dragged = 0
     while uncovered:
         def score(killer: str) -> Tuple[float, str]:
             newly_covered = sum(1 for v in uncovered if killer in pk[v])
             if newly_covered == 0:
                 return (float("inf"), killer)
-            newly_dragged = len(desc_values[killer] - dragged)
+            newly_dragged = (drag[killer] & ~dragged).bit_count()
             return (newly_dragged / newly_covered, killer)
 
         best_killer = min(comp_killers, key=score)
         chosen.append(best_killer)
-        dragged |= desc_values[best_killer]
+        dragged |= drag[best_killer]
         uncovered = {v for v in uncovered if best_killer not in pk[v]}
     return chosen
 
 
-def _component_assignment(
+def _component_choice(
     comp_values: Sequence[Value],
     comp_killers: Sequence[str],
     pk: Mapping[Value, List[str]],
-    desc_values: Mapping[str, FrozenSet[str]],
-) -> Dict[Value, str]:
-    """Each value of one component mapped to its killer from the chosen set."""
+    drag: Mapping[str, int],
+) -> Tuple[List[str], Dict[Value, str]]:
+    """The component's killing set, and each value mapped to its killer from it."""
 
-    chosen = set(_choose_killing_set(comp_values, comp_killers, pk, desc_values))
+    chosen = _choose_killing_set(comp_values, comp_killers, pk, drag)
+    members = set(chosen)
     # Among the chosen killers able to kill a value, prefer the one dragging
     # the fewest descendants (ties broken by name).
-    return {
+    return chosen, {
         value: min(
-            (k for k in pk[value] if k in chosen),
-            key=lambda k: (len(desc_values[k]), k),
+            (k for k in pk[value] if k in members),
+            key=lambda k: (drag[k].bit_count(), k),
         )
         for value in comp_values
     }
 
 
 class ChoiceCache:
-    """Each component's killer assignment, reused while its inputs stand.
+    """Each component's killer assignment, reused while it provably stands.
 
     A component's assignment is a pure function of its values' potential-
-    killer rows and its killers' descendant-value sets.  The incremental
-    engine keeps both identity-stable: a push replaces a value's row only
-    when its potential killers change, and a killer's set only when it
-    gains a value node, and a pop restores the previous objects.  So object
-    identity of those inputs -- plus list equality of the component's
-    values, which CPython resolves by pointer comparison for the shared
-    ``Value`` objects -- proves the stored assignment still holds, without
-    rebuilding or hashing any content.  An identity miss on equal content
-    only costs a re-choice, never a wrong answer.  ``hits`` counts reused
-    components and ``misses`` re-chosen ones.
+    killer rows and its killers' drag masks.  The incremental engine keeps
+    the rows identity-stable (a push replaces a value's row only when its
+    potential killers change, a pop restores the previous objects), and a
+    push only ever *grows* a drag mask.  A stored choice therefore stands
+    when the component's values and rows are the same objects and either
+
+    * the component has one killer, whose assignment reads no drag; or
+    * every chosen killer's mask equals the stored one and every other
+      killer's mask is a superset of its stored one.
+
+    Why the second case is exact: the covers are the same (they depend on
+    the rows only), the chosen set's drag is unchanged, and every other
+    cover's drag is an OR of supersets, so every other key ``(drag, size,
+    -mask)`` of the exhaustive search stays above the chosen one.  The
+    greedy cover rule of components above the exhaustive limit sees the
+    same ``dragged`` prefix at every step, since it ORs only chosen
+    masks, while every other killer's score can only rise.  The final
+    per-value pick reads chosen masks only.  The check compares content,
+    not history, so it also holds after a pop: a mask that shrank below
+    its stored one re-chooses.  ``hits`` counts reused components and
+    ``misses`` re-chosen ones.
     """
 
     def __init__(self) -> None:
-        #: killer tuple -> (values, their pk rows, killer sets, assignment)
+        #: killer tuple -> (values, their pk rows, killer masks, which
+        #: killers were chosen, assignment)
         self._entries: Dict[Tuple[str, ...], Tuple] = {}
         self.hits = 0
         self.misses = 0
@@ -355,34 +414,41 @@ class ChoiceCache:
         comp_values: List[Value],
         comp_killers: List[str],
         pk: Mapping[Value, List[str]],
-        desc_values: Mapping[str, FrozenSet[str]],
+        drag: Mapping[str, int],
     ) -> Dict[Value, str]:
         key = tuple(comp_killers)
         entry = self._entries.get(key)
-        if entry is not None and self._matches(entry, comp_values, comp_killers, pk, desc_values):
+        if entry is not None and self._stands(entry, comp_values, comp_killers, pk, drag):
             self.hits += 1
-            return entry[3]
+            return entry[4]
         self.misses += 1
-        assignment = _component_assignment(comp_values, comp_killers, pk, desc_values)
+        chosen, assignment = _component_choice(comp_values, comp_killers, pk, drag)
+        members = set(chosen)
         self._entries[key] = (
             comp_values,
             [pk[v] for v in comp_values],
-            [desc_values[k] for k in comp_killers],
+            [drag[k] for k in comp_killers],
+            [k in members for k in comp_killers],
             assignment,
         )
         return assignment
 
     @staticmethod
-    def _matches(entry, comp_values, comp_killers, pk, desc_values) -> bool:
-        values, rows, sets, _ = entry
+    def _stands(entry, comp_values, comp_killers, pk, drag) -> bool:
+        values, rows, masks, chosen, _ = entry
         if values != comp_values:
             return False
         for v, row in zip(comp_values, rows):
             if pk[v] is not row:
                 return False
+        if len(comp_killers) == 1:
+            return True
         # comp_killers equality is implied by the key (the killer tuple).
-        for k, d in zip(comp_killers, sets):
-            if desc_values[k] is not d:
+        for k, old, was_chosen in zip(comp_killers, masks, chosen):
+            new = drag[k]
+            if new == old:
+                continue
+            if was_chosen or old & ~new:
                 return False
         return True
 
@@ -390,22 +456,21 @@ class ChoiceCache:
 def _killing_mapping(
     components: Sequence[Tuple[List[Value], List[str]]],
     pk: Mapping[Value, List[str]],
-    desc_values: Mapping[str, FrozenSet[str]],
+    drag: Mapping[str, int],
     choices: Optional[ChoiceCache] = None,
 ) -> Dict[Value, str]:
     """The Greedy-k killing function's mapping, component by component.
 
-    *choices* reuses the assignments of components whose inputs are
-    unchanged since the previous call (the incremental engine's path); it
-    never changes the result.
+    *choices* reuses the assignments of components whose choice still
+    stands (the incremental engine's path); it never changes the result.
     """
 
     mapping: Dict[Value, str] = {}
     for comp_values, comp_killers in components:
         if choices is None:
-            mapping.update(_component_assignment(comp_values, comp_killers, pk, desc_values))
+            mapping.update(_component_choice(comp_values, comp_killers, pk, drag)[1])
         else:
-            mapping.update(choices.assignment(comp_values, comp_killers, pk, desc_values))
+            mapping.update(choices.assignment(comp_values, comp_killers, pk, drag))
     return mapping
 
 
@@ -419,16 +484,8 @@ def greedy_killing_function(
     rtype = canonical_type(rtype)
     ctx = ctx if ctx is not None else context_for(ddg)
     pk = potential_killers_map(ddg, rtype, ctx)
-    desc = ctx.descendants_map(include_self=False)
-    value_nodes = {v.node for v in pk}
-    desc_values = {
-        killer: _descendant_values(desc, killer, value_nodes)
-        for killers in pk.values()
-        for killer in killers
-    }
-    return KillingFunction(
-        rtype, _killing_mapping(_bipartite_components(pk), pk, desc_values)
-    )
+    drag = _drag_masks(pk, ctx.descendants_map(include_self=False))
+    return KillingFunction(rtype, _killing_mapping(_bipartite_components(pk), pk, drag))
 
 
 # --------------------------------------------------------------------------- #
@@ -589,7 +646,7 @@ def _greedy_saturation_uncached(
         rs=best_rs,
         saturating_values=tuple(sorted(best_antichain)),
         method="greedy-k",
-        killing_function=dict(best_kf.items()),
+        killing_function=dict(best_kf.mapping),
         optimal=False,
         wall_time=time.perf_counter() - start,
         details={

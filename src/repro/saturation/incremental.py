@@ -7,8 +7,8 @@ structural analysis (descendant maps, longest-path rows, potential killers,
 bipartite killing components).  Adding serial arcs, however, only *grows*
 reachability and longest paths, and only around the new arcs' endpoints:
 
-* ``desc(x)`` changes only for ancestors ``x`` of a new arc's source, and
-  the change is exactly the union with ``desc(dst)``;
+* ``reach(x)`` changes only for ancestors ``x`` of a new arc's source, and
+  the change is exactly the union with ``reach(dst)``;
 * ``lp(x, y)`` changes only to ``max(lp(x, y), lp(x, src) + w + lp(dst, y))``
   (a DAG path uses a given arc at most once);
 * ``pkill(u)`` can only shrink, and only when one of its current potential
@@ -17,7 +17,7 @@ reachability and longest paths, and only around the new arcs' endpoints:
 
 Everything outside that dirty region provably cannot change, so the classes
 below mutate one working DDG in place (with undo) and patch the affected
-entries, sharing every untouched set/row with the previous iteration.
+entries, sharing every untouched row with the previous iteration.
 
 **Candidate DV engines.** Greedy-k's disjoint-value DAG of a candidate
 killing function ``k`` has an arc ``u → v`` when
@@ -35,20 +35,22 @@ reachability engine's test oracle.
 **Flat-array core.** The hot state lives on integer op ids handed out by the
 per-graph :class:`~repro.analysis.interner.OpInterner` (stable across graph
 revisions -- only arcs change, never the node set): longest-path rows are
-flat ``List[float]`` buffers indexed by op id instead of name-keyed dicts,
-killer/DV state is bitmask rows over the same id space (no str↔bit
-translation left on the sync path between the DV engines and
-:class:`~repro.analysis.antichain.PersistentAntichain`), undo frames hold
-slice copies of flat buffers (a ``list.copy`` memcpy instead of dict
-rebuilds), and row patching is a whole-row max-merge over arrays.  The
-conversion is internal: every string-facing boundary (descendant maps,
-pkill, reports) is unchanged, and the patched analyses injected into the
-graph's fresh :class:`~repro.analysis.context.AnalysisContext` epoch through
+flat ``List[float]`` buffers indexed by op id instead of name-keyed dicts;
+reachability, potential killers, drag masks and killer/DV state are
+bitsets over the same id space (no str↔bit translation left on the sync
+path between the DV engines and
+:class:`~repro.analysis.antichain.PersistentAntichain`); undo frames hold
+references to copy-on-write lists and dicts; and row patching is a
+whole-row max-merge over arrays.  The conversion is internal: every
+string-facing boundary (pkill, killing functions, reports) is unchanged,
+and the patched pkill map and ASAP times injected into the graph's fresh
+:class:`~repro.analysis.context.AnalysisContext` epoch through
 :meth:`~repro.analysis.context.AnalysisContext.memo` keep the existing
 Greedy-k code path (:mod:`repro.saturation.greedy`, :mod:`.pkill`,
 :mod:`.dvk`) returning results identical to a from-scratch run -- the
-property tests in ``tests/test_reduction_incremental.py`` and
-``tests/test_flatcore.py`` pin exactly that.
+property tests in ``tests/test_reduction_incremental.py``,
+``tests/test_flatcore.py`` and ``tests/test_push_bookkeeping.py`` pin
+exactly that.
 """
 
 from __future__ import annotations
@@ -56,9 +58,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
-    FrozenSet,
     List,
     Mapping,
     MutableMapping,
@@ -78,9 +80,32 @@ from ..core.types import DependenceKind, RegisterType, Value, canonical_type
 from ..errors import CyclicGraphError
 from .result import SaturationResult
 
+if TYPE_CHECKING:  # pragma: no cover - the runtime import would be circular
+    from .pkill import KillingFunction
+
 __all__ = ["IncrementalAnalysis", "IncrementalSaturation"]
 
 _NEG_INF = graphalgo.NEG_INF
+
+
+def _bits(ids) -> int:
+    """The bitset holding bit ``i`` for every op id ``i`` in *ids*."""
+
+    mask = 0
+    for i in ids:
+        mask |= 1 << i
+    return mask
+
+
+def _same_function(kf, previous):
+    """*previous* when it maps like *kf*, dict order included; else *kf*."""
+
+    if previous is None or kf is previous:
+        return kf
+    mapping, before = kf.mapping, previous.mapping
+    if mapping == before and list(mapping) == list(before):
+        return previous
+    return kf
 
 
 def _duplicate_of(g: DDG, edge: Edge) -> Optional[Edge]:
@@ -99,19 +124,23 @@ class _AppliedArc:
     edge: Edge
     #: The lower-latency duplicate this arc replaced, or None when appended.
     replaced: Optional[Edge]
-    #: Ancestors (inclusive) of the arc's source at application time, or
-    #: None when the destination was already reachable (no new reach pairs).
-    ancestors: Optional[Set[str]]
-    #: ``{dst} ∪ desc(dst)`` at application time (the reachability gained by
-    #: every ancestor of the source), or None like ``ancestors``.
-    addition: Optional[FrozenSet[str]]
+    #: The ops whose reach set the arc grew, as a bitset over op ids: the
+    #: ancestors of its source (itself included) that did not reach its
+    #: destination yet.  0 when reachability is not tracked or did not
+    #: grow (the destination was already reachable).
+    ancestors: int = 0
+    #: The destination's reach set ``{dst} ∪ desc(dst)`` at application
+    #: time, as a bitset over op ids: what every op in ``ancestors``
+    #: gained.  0 like ``ancestors``.
+    addition: int = 0
 
 
 @dataclass
 class _AnalysisFrame:
     records: List[_AppliedArc] = field(default_factory=list)
-    desc_incl: Optional[Dict[str, Set[str]]] = None
-    desc_excl: Optional[Dict[str, Set[str]]] = None
+    #: The pre-push reach list (None when untracked): each push copies the
+    #: list and patches its entries, so pop restores it by reference.
+    reach: Optional[List[int]] = None
     #: The pre-push row dict: each push copies the dict and patches rows
     #: copy-on-write, so pop restores this epoch by reference.
     lp_rows: Dict[int, List[float]] = field(default_factory=dict)
@@ -133,13 +162,25 @@ class IncrementalAnalysis:
 
     The graph is mutated through the normal :class:`~repro.core.graph.DDG`
     API (every push/pop bumps ``DDG.version``, keeping the shared
-    :class:`AnalysisContext` honest), while descendant maps and longest-path
-    rows are patched copy-on-write: unchanged sets/rows are shared with the
-    previous epoch, so an undo frame is just a handful of references.
-    Longest-path rows are flat op-id-indexed buffers (see the module
-    docstring).  An analysis that tracks reachability also keeps the ASAP
-    times warm from its first push on and publishes them as the context's
-    ``asap_times()``.  *interner* accepts a shared
+    :class:`AnalysisContext` honest), while reachability and longest-path
+    rows are patched copy-on-write, so an undo frame is just a handful of
+    references.  Longest-path rows are flat op-id-indexed buffers (see the
+    module docstring).
+
+    Reachability is one int per op id, :meth:`reach_bits`: entry ``i``
+    holds bit ``j`` when op ``i`` reaches op ``j``, itself included.  A
+    push copies the list, and a new arc ``a → t`` that ``a`` does not
+    already reach gives every entry holding bit ``a`` (the ancestors of
+    ``a``) the bits of ``reach[t]``; the entries it grew and what they
+    gained go into the frame's records as bitsets, so the saturation
+    state screens its own dirty region with a few ANDs.  A pop restores
+    the list by reference.  The bitsets are computed from the flat
+    adjacency the first time they are needed and kept from then on; the
+    name-keyed descendant maps are neither kept nor published to the
+    graph's context (:meth:`descendants_incl` decodes them for tests and
+    string-facing callers).  An analysis that tracks reachability also
+    keeps the ASAP times warm from its first push on and publishes them
+    as the context's ``asap_times()``.  *interner* accepts a shared
     :class:`~repro.analysis.interner.OpInterner` so sibling analyses over
     copies of the same graph (the candidate killed mirrors) agree on every
     id.  Instances are not thread-safe; they are meant to back one
@@ -161,8 +202,9 @@ class IncrementalAnalysis:
                 interner.intern(name)
         self._interner = interner
         self._n = interner.size
-        self._desc_incl: Optional[Dict[str, Set[str]]] = None
-        self._desc_excl: Optional[Dict[str, Set[str]]] = None
+        #: Reach bitsets over op ids (see the class docstring), or None
+        #: until first needed.
+        self._reach: Optional[List[int]] = None
         #: ASAP issue times, seeded by the first push (tracked analyses
         #: only) and relaxed copy-on-write by every later one.
         self._asap: Optional[Dict[str, int]] = None
@@ -205,19 +247,46 @@ class IncrementalAnalysis:
     # ------------------------------------------------------------------ #
     # Warm queries
     # ------------------------------------------------------------------ #
-    def _ensure_desc(self) -> None:
-        if self._desc_incl is None:
-            ctx = context_for(self._g)
-            self._desc_incl = ctx.descendants_map(include_self=True)
-            self._desc_excl = ctx.descendants_map(include_self=False)
+    def reach_bits(self) -> List[int]:
+        """Reachability as bitsets over op ids (read-only, shared).
+
+        Entry ``i`` holds bit ``j`` when op ``i`` reaches op ``j``, itself
+        included.  Computed once from the flat adjacency in reverse
+        topological order, then patched by every push.
+        """
+
+        reach = self._reach
+        if reach is None:
+            adj = self._adj_pairs()
+            order = self._topo_order_ids()
+            if len(order) != self._n:
+                raise CyclicGraphError(f"{self._g.name!r} has a cycle")
+            reach = [0] * self._n
+            for v in reversed(order):
+                r = 1 << v
+                for w, _latency in adj[v]:
+                    r |= reach[w]
+                reach[v] = r
+            self._reach = reach
+        return reach
 
     def descendants_incl(self) -> Dict[str, Set[str]]:
-        self._ensure_desc()
-        return self._desc_incl  # type: ignore[return-value]
+        """The reach bitsets decoded into ``name -> names it reaches``, itself included.
 
-    def descendants_excl(self) -> Dict[str, Set[str]]:
-        self._ensure_desc()
-        return self._desc_excl  # type: ignore[return-value]
+        Built per call for tests and string-facing callers; no hot path
+        reads it.
+        """
+
+        names = self._interner.names()
+        out: Dict[str, Set[str]] = {}
+        for i, bits in enumerate(self.reach_bits()):
+            reached: Set[str] = set()
+            while bits:
+                low = bits & -bits
+                reached.add(names[low.bit_length() - 1])
+                bits ^= low
+            out[names[i]] = reached
+        return out
 
     def asap_times(self) -> Dict[str, int]:
         """ASAP issue times of the current graph (read-only, shared)."""
@@ -334,26 +403,18 @@ class IncrementalAnalysis:
         return self._compute_row_flat(src_id)
 
     def remains_acyclic_with_edges(self, edges) -> bool:
-        return graphalgo.mini_graph_remains_acyclic(
-            edges, self.descendants_excl().__getitem__
-        )
+        self.reach_bits()
+        return graphalgo.mini_graph_remains_acyclic(edges, self._reaches)
+
+    def _reaches(self, u: str, v: str) -> bool:
+        """Whether op *u* reaches op *v* (a bit test on the reach bitsets)."""
+
+        iid = self._interner.id
+        return self._reach[iid(u)] >> iid(v) & 1 == 1  # type: ignore[index]
 
     # ------------------------------------------------------------------ #
     # Mutation
     # ------------------------------------------------------------------ #
-    def ancestors_incl(self, node: str) -> Set[str]:
-        """Ancestors of *node*, including itself (one reverse reachability walk)."""
-
-        seen: Set[str] = {node}
-        stack = [node]
-        while stack:
-            v = stack.pop()
-            for w in self._g.predecessors(v):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
     def evict_row_id(self, src_id: int) -> None:
         """Drop the cached flat row from op *src_id* (recomputed on demand).
 
@@ -374,7 +435,7 @@ class IncrementalAnalysis:
         iff it already respects it (otherwise the next row computation
         falls back to Kahn).  Cached rows are *not* patched -- the caller
         evicts every row it cannot prove unchanged -- and the reachability
-        maps and ASAP times, which only a push can maintain, are dropped.
+        bitsets and ASAP times, which only a push can maintain, are dropped.
         The surgery is not undoable; callers :meth:`rebase` afterwards.
         """
 
@@ -405,7 +466,7 @@ class IncrementalAnalysis:
             else:
                 pairs[pairs.index((dst_id, current.latency))] = (dst_id, desired.latency)
             self._adj_version = g.version
-        self._desc_incl = self._desc_excl = None
+        self._reach = None
         self._asap = None
 
     def is_acyclic(self) -> bool:
@@ -436,21 +497,19 @@ class IncrementalAnalysis:
         """
 
         if self._track_reachability:
-            self._ensure_desc()
+            self.reach_bits()
             if self._asap is None:
                 self._asap = context_for(self._g).asap_times()
         frame = _AnalysisFrame(
-            desc_incl=self._desc_incl,
-            desc_excl=self._desc_excl,
+            reach=self._reach,
             lp_rows=self._lp_rows,
             asap=self._asap,
         )
-        # Copy-on-write epoch: top-level dicts are fresh, the sets/rows they
-        # point to are shared until individually patched.
-        track_desc = self._desc_incl is not None
-        if track_desc:
-            self._desc_incl = dict(self._desc_incl)  # type: ignore[arg-type]
-            self._desc_excl = dict(self._desc_excl)  # type: ignore[arg-type]
+        # Copy-on-write epoch: the reach list and the row dict are fresh,
+        # the rows they point to are shared until individually patched.
+        reach = self._reach
+        if reach is not None:
+            reach = self._reach = list(reach)
         self._lp_rows = dict(self._lp_rows)
         iid = self._interner.id
 
@@ -509,18 +568,17 @@ class IncrementalAnalysis:
                     else:
                         previous.extend(changed)  # type: ignore[arg-type]
 
-            ancestors: Optional[Set[str]] = None
-            addition: Optional[FrozenSet[str]] = None
-            if track_desc and duplicate is None and edge.dst not in self._desc_incl[edge.src]:
-                # Reachability actually grew: every ancestor of src now also
-                # reaches {dst} ∪ desc(dst).
-                addition = frozenset(self._desc_incl[edge.dst])
-                ancestors = self.ancestors_incl(edge.src)
-                for x in ancestors:
-                    current = self._desc_incl[x]
-                    if not addition <= current:
-                        self._desc_incl[x] = current | addition
-                        self._desc_excl[x] = self._desc_excl[x] | addition
+            ancestors = addition = 0
+            below = 1 << dst_id
+            if reach is not None and duplicate is None and not reach[src_id] & below:
+                # Reachability actually grew: every op reaching src (its
+                # entry holds bit src) but not yet dst gains reach[dst].
+                addition = reach[dst_id]
+                above = 1 << src_id
+                for x, rx in enumerate(reach):
+                    if rx & above and not rx & below:
+                        reach[x] = rx | addition
+                        ancestors |= 1 << x
             frame.records.append(
                 _AppliedArc(edge, duplicate, ancestors, addition)
             )
@@ -592,30 +650,24 @@ class IncrementalAnalysis:
                         record.replaced.latency,
                     )
                 self._adj_version = self._g.version
-        self._desc_incl = frame.desc_incl
-        self._desc_excl = frame.desc_excl
+        self._reach = frame.reach
         self._lp_rows = frame.lp_rows
         self._asap = frame.asap
         self._inject()
 
     def _inject(self) -> None:
-        """Seed the graph's fresh context epoch with the patched analyses.
+        """Seed the graph's fresh context epoch with the warm ASAP times.
 
         ``memo`` stores the value under the graph's *current* revision, so
         every pass querying the shared context after a push/pop sees the
-        incrementally-maintained (and provably equal) maps instead of
-        recomputing them.
+        incrementally-maintained (and provably equal) times instead of
+        recomputing them.  Descendant maps are not published: a cold
+        context query recomputes them.
         """
 
-        if self._desc_incl is None:
-            return
-        ctx = context_for(self._g)
-        desc_incl, desc_excl = self._desc_incl, self._desc_excl
-        ctx.memo(("desc", True), lambda: desc_incl)
-        ctx.memo(("desc", False), lambda: desc_excl)
         if self._asap is not None:
             asap = self._asap
-            ctx.memo("asap", lambda: asap)
+            context_for(self._g).memo("asap", lambda: asap)
 
 
 #: Sentinel returned by a candidate DV state's `antichain` when the DV
@@ -748,10 +800,14 @@ class _DVState:
         potential-killers lists of its values (the arcs come from the other
         potential killers), so both must be unchanged for reuse.  Deferred
         syncs do not matter here: they carry graph arcs, not killing-choice
-        state.
+        state.  The warm engine hands back an unchanged function as the
+        same object, so identity answers before equality is tried.
         """
 
-        if not self.valid or self.kf_mapping != kf.mapping:
+        if not self.valid:
+            return False
+        mapping = self.kf_mapping
+        if mapping is not kf.mapping and mapping != kf.mapping:
             return False
         if pk is self._pk_ref:
             return True
@@ -759,12 +815,19 @@ class _DVState:
             current = pk.get(value, [])
             if current is not killers and current != killers:
                 return False
+        # A pk map is never mutated once published, so this one answers
+        # by identity from now on.
+        self._pk_ref = pk
         return True
 
     def _adopt(self, kf, pk: Mapping[Value, List[str]]) -> None:
-        """Record *kf* and the pk lists of its values as the state's inputs."""
+        """Record *kf* and the pk lists of its values as the state's inputs.
 
-        self.kf_mapping = dict(kf.mapping)
+        The mapping is kept by reference: a killing function's mapping is
+        never mutated.
+        """
+
+        self.kf_mapping = kf.mapping
         self._pk_ref = pk
         self._pk_lists = {value: pk.get(value, []) for value in kf.mapping}
 
@@ -1517,22 +1580,43 @@ class IncrementalSaturation:
     to the working graph; ⊥ only receives arcs, so the mirror answers every
     reachability, ASAP or longest-path query between other nodes.  On top
     sit the saturation-specific analyses, each patched only where a push
-    changed it and restored by reference on pop:
+    changed it and restored by reference on pop.  Per-value tables are
+    lists by value index (``_values`` order) and per-op sets are bitsets
+    over the mirror's op ids, so the push-side bookkeeping hashes a
+    :class:`~repro.core.types.Value` only to store a changed row in the
+    ``pk`` dict:
 
-    * the potential-killers map: a value's row is replaced only when its
-      potential killers change;
-    * the killers' descendant-value sets: a killer's set is replaced only
-      when it gains a value node, which happens only to ancestors of a
-      pushed arc's source;
-    * Greedy-k's killing function: the bipartite components are repaired
-      (:class:`~repro.saturation.greedy.ComponentCache`), and a component
-      whose pk rows and killer sets are the same objects as last time
-      reuses its whole killer assignment
-      (:class:`~repro.saturation.greedy.ChoiceCache`); only changed
-      components run the subset search again;
+    * the potential killers: a value's row (a name list in the ``pk``
+      dict, plus its bitset in ``_pk_masks``) is replaced only when its
+      potential killers change.  The dirty screen ANDs each value's
+      potential-killer and consumer masks against each applied arc's
+      ``ancestors`` and ``addition`` bitsets (see :class:`_AppliedArc`),
+      and a dirty row is recomputed from the reach bitsets: consumer ``c``
+      is a potential killer iff ``reach[c] & cons_mask == bit(c)``;
+    * the killers' drag masks (``_kdv``, the value ops a killer reaches,
+      itself excluded): a mask is replaced only when a push brings in a
+      value op, which happens only to the arc's ``ancestors``;
+    * Greedy-k's killing function.  Each push records the killers whose
+      drag mask it replaced and the values whose row it replaced.  When
+      no row changed since the last call, :meth:`candidate_functions`
+      sends only the components holding a recorded killer through
+      :class:`~repro.saturation.greedy.ChoiceCache` and keeps the previous
+      function object unless an assignment changed; a component's
+      assignment depends only on its values' rows and its killers' masks,
+      so the others cannot move.  Otherwise (a row changed, or a pop
+      since the last call) it repairs the decomposition
+      (:class:`~repro.saturation.greedy.ComponentCache`) and walks every
+      component (counted as ``killing_full_passes``);
     * the ``canonical`` and ``asap-induced`` killing functions: a value is
-      re-chosen only when its pk row changed or one of its potential
-      killers' ASAP times moved.
+      re-chosen only when its row changed or one of its potential
+      killers' ASAP times moved, and a function object is kept unless one
+      of its killers changes.  When every potential killer reads at
+      offset 0 the two choose by the same key, so both labels share one
+      object.
+
+    A :class:`~repro.saturation.pkill.KillingFunction`'s mapping is never
+    mutated: a change copies it.  That is what lets the candidate DV
+    states and Greedy-k's repeat check compare functions by identity.
 
     :meth:`candidate_functions` hands the three candidate functions to
     Greedy-k, and one warm candidate DV state per candidate label
@@ -1555,29 +1639,59 @@ class IncrementalSaturation:
         self._working = working
         self._mirror = IncrementalAnalysis(working.with_bottom())
         self._pk: Optional[Dict[Value, List[str]]] = None
-        self._cons: Dict[Value, Tuple[str, ...]] = {}
-        self._value_nodes: Set[str] = set()
-        self._kdv: Optional[Dict[str, FrozenSet[str]]] = None
-        #: Potential killer -> the values it could kill in the initial pk.
-        #: Rows only shrink, so this stays a superset at every depth.
-        self._killer_values: Dict[str, List[Value]] = {}
+        #: Per value index: its pk row (the object in ``_pk``), and its
+        #: potential killers as a bitset over op ids.
+        self._rows: List[List[str]] = []
+        self._pk_masks: List[int] = []
+        #: Per value index: its consumers' names, their op ids, and the
+        #: bitset of those ids (static: serial arcs add no consumer).
+        self._cons: List[Tuple[Tuple[str, ...], Tuple[int, ...]]] = []
+        self._cons_masks: List[int] = []
+        #: Potential killer -> its drag mask: the value ops it reaches,
+        #: itself excluded, as a bitset over op ids.
+        self._kdv: Optional[Dict[str, int]] = None
+        #: Potential killer -> the value indices it could kill in the
+        #: initial pk.  Rows only shrink, so this stays a superset at every
+        #: depth.
+        self._killer_values: Dict[str, List[int]] = {}
+        #: Op id -> potential-killer name, and the bitset of those ids.
+        self._killer_name: Dict[int, str] = {}
+        self._killer_ops = 0
+        #: The bitset of the value ops.
+        self._value_ops = 0
         #: Potential killer -> its read offset delta_r.
         self._read: Dict[str, int] = {}
-        #: The ``canonical`` and ``asap-induced`` mappings, in pk order.
-        self._canonical: Dict[Value, str] = {}
-        self._induced: Dict[Value, str] = {}
-        #: Per push: the pre-push pk, killer sets and fixed mappings, and
-        #: the working-graph arcs it added with the duplicates they displaced.
+        #: Whether every potential killer reads at offset 0, which makes
+        #: the asap-induced choice the canonical one.
+        self._zero_read = True
+        #: The ``canonical`` and ``asap-induced`` functions (one object
+        #: under ``_zero_read``), and their killers by value index.
+        self._canonical: Optional[KillingFunction] = None
+        self._induced: Optional[KillingFunction] = None
+        self._canonical_of: List[Optional[str]] = []
+        self._induced_of: List[Optional[str]] = []
+        #: The three functions last returned by candidate_functions, and
+        #: what the pushes since then changed: the killers whose drag mask
+        #: and the value indices whose row they replaced.  A pop (or no
+        #: previous function) asks for a walk over every component.
+        self._greedy: Optional[KillingFunction] = None
+        self._returned_fixed: Tuple[Optional[KillingFunction], ...] = (None, None)
+        self._touched_killers: Set[str] = set()
+        self._changed_rows: Set[int] = set()
+        self._walk_all = True
+        #: Per push: the pre-push saturation tables and fixed functions,
+        #: and the working-graph arcs it added with the duplicates they
+        #: displaced.
         self._frames: List[Tuple[object, ...]] = []
         from .greedy import ChoiceCache, ComponentCache  # local: avoids import cycle
 
-        #: Cross-iteration bipartite-component decomposition, repaired per
-        #: push from the pk rows' object identity instead of rebuilt (see
+        #: Cross-iteration bipartite-component decomposition, repaired from
+        #: the rows a push replaced instead of rebuilt (see
         #: :class:`~repro.saturation.greedy.ComponentCache`); surfaces
         #: ``components_reused`` / the ``greedy_decompose`` timer below.
         self.component_cache = ComponentCache()
-        #: Per-component killer assignments, reused while the component's
-        #: inputs are the same objects; surfaces ``killing_set_hits`` and
+        #: Per-component killer assignments, reused while their choice
+        #: provably stands; surfaces ``killing_set_hits`` and
         #: ``killing_set_misses``.
         self.choices = ChoiceCache()
         mirror = self._mirror.ddg
@@ -1603,6 +1717,7 @@ class IncrementalSaturation:
             "components_reused": 0,
             "killing_set_hits": 0,
             "killing_set_misses": 0,
+            "killing_full_passes": 0,
         }
         #: Monotonic per-stage wall-clock accumulators (seconds), keyed by
         #: engine stage.  The benchmark's bottleneck profile reads these, so
@@ -1643,104 +1758,167 @@ class IncrementalSaturation:
             return
         from .pkill import potential_killers_map  # local: avoids import cycle
 
-        mirror = self._mirror.ddg
-        mctx = context_for(mirror)
-        self._pk = potential_killers_map(mirror, self.rtype, mctx)
-        self._cons = {
-            value: tuple(mirror.consumers(value.node, self.rtype))
-            for value in self._pk
-        }
-        self._value_nodes = {v.node for v in self._pk}
-        desc_excl = self._mirror.descendants_excl()
-        self._kdv = {
-            killer: frozenset(desc_excl[killer] & self._value_nodes)
-            for killers in self._pk.values()
-            for killer in killers
-        }
-        for value, killers in self._pk.items():
+        analysis = self._mirror
+        mirror, op_id = analysis.ddg, analysis.op_id
+        pk = potential_killers_map(mirror, self.rtype, context_for(mirror))
+        index = self._node_index
+        rows: List[List[str]] = [[] for _ in self._values]
+        for value, killers in pk.items():
+            rows[index[value.node]] = killers
+        self._rows = rows
+        self._pk_masks = [_bits(op_id(k) for k in row) for row in rows]
+        self._cons = []
+        for value in self._values:
+            names = tuple(mirror.consumers(value.node, self.rtype))
+            self._cons.append((names, tuple(op_id(c) for c in names)))
+        self._cons_masks = [_bits(ids) for _names, ids in self._cons]
+        self._value_ops = _bits(op_id(v.node) for v in self._values)
+        reach = analysis.reach_bits()
+        kdv: Dict[str, int] = {}
+        for killers in pk.values():
             for killer in killers:
-                self._killer_values.setdefault(killer, []).append(value)
+                if killer not in kdv:
+                    kid = op_id(killer)
+                    kdv[killer] = reach[kid] & self._value_ops & ~(1 << kid)
+        self._kdv = kdv
+        for i, killers in enumerate(rows):
+            for killer in killers:
+                self._killer_values.setdefault(killer, []).append(i)
+        self._killer_name = {op_id(k): k for k in self._killer_values}
+        self._killer_ops = _bits(self._killer_name)
         self._read = {k: mirror.operation(k).delta_r for k in self._killer_values}
-        self._rechoose_fixed(self._pk)
+        self._zero_read = not any(self._read.values())
+        self._pk = pk
+        from .pkill import KillingFunction  # local: avoids import cycle
 
-    def _update_after_push(self, records: List[_AppliedArc]) -> List[Value]:
-        """Patch pk and the killer sets; returns the values whose row changed."""
+        # Every value is "moved" from an empty function, in pk order, so the
+        # mappings come out in pk order like the cold functions'.
+        self._canonical = self._induced = KillingFunction(self.rtype, {})
+        self._canonical_of = [None] * len(rows)
+        self._induced_of = [None] * len(rows)
+        self._rechoose_fixed([index[value.node] for value in pk])
 
-        from .pkill import potential_killers  # local: avoids import cycle
+    def _update_after_push(self, records: List[_AppliedArc]) -> List[int]:
+        """Patch pk and the drag masks; returns the value indices whose row changed.
+
+        Records the killers whose mask was replaced and the changed rows
+        for :meth:`candidate_functions`.
+        """
 
         if self._pk is None or self._kdv is None:
             raise RuntimeError("push bookkeeping before the potential killers were built")
-        pk_old = self._pk
-        cons, killer_values = self._cons, self._killer_values
-        dirty: Set[Value] = set()
+        pk_masks, cons_masks = self._pk_masks, self._cons_masks
+        value_ops, killer_ops, killer_name = self._value_ops, self._killer_ops, self._killer_name
+        kdv = self._kdv
+        dirty: Set[int] = set()
         for record in records:
-            if record.addition is None or record.ancestors is None:
+            above = record.ancestors
+            if not above:
                 continue
             addition = record.addition
-            # pkill(u) can only lose a killer k when k (an ancestor of the
-            # arc's source) newly reaches another consumer of u.  Only the
-            # rows of the ancestors' initial values can hold such a k.
-            for k in record.ancestors:
-                for value in killer_values.get(k, ()):
-                    if value in dirty or k not in pk_old[value]:
-                        continue
-                    if any(c in addition for c in cons[value]):
-                        dirty.add(value)
-
-        changed: List[Value] = []
-        if dirty:
-            mirror = self._mirror.ddg
-            desc_incl = self._mirror.descendants_incl()
-            for value in dirty:
-                killers = potential_killers(
-                    mirror, value, desc_incl, consumers=self._cons[value]
-                )
-                if killers != pk_old[value]:
-                    changed.append(value)
-                    if self._pk is pk_old:
-                        self._pk = dict(pk_old)
-                    self._pk[value] = killers
-
-        # A push grows desc(x) by exactly the arc's addition, and only for
-        # ancestors x of its source; a killer's set is replaced only when
-        # that brings in a value node, so every other killer keeps its
-        # object (which is what the component choices are validated by).
-        kdv = self._kdv
-        for record in records:
-            if record.addition is None or record.ancestors is None:
-                continue
-            gained = record.addition & self._value_nodes
+            # pkill(u) can only lose a killer k when k (an op whose reach
+            # grew) newly reaches another consumer of u.
+            for i, (killers, consumers) in enumerate(zip(pk_masks, cons_masks)):
+                if killers & above and consumers & addition:
+                    dirty.add(i)
+            # A drag mask grows by the arc's new value ops, and only for
+            # the ops whose reach grew; every other killer keeps its mask.
+            gained = addition & value_ops
             if not gained:
                 continue
-            for x in record.ancestors:
-                old = kdv.get(x)
-                if old is None or gained <= old:
-                    continue
-                if kdv is self._kdv:
-                    kdv = dict(kdv)
-                kdv[x] = old | gained
+            grown = above & killer_ops
+            while grown:
+                low = grown & -grown
+                grown ^= low
+                killer = killer_name[low.bit_length() - 1]
+                old = kdv[killer]
+                if gained & ~old:
+                    if kdv is self._kdv:
+                        kdv = dict(kdv)
+                    kdv[killer] = old | gained
+                    self._touched_killers.add(killer)
         self._kdv = kdv
+
+        changed: List[int] = []
+        if dirty:
+            reach = self._mirror.reach_bits()
+            pk, rows = self._pk, self._rows
+            for i in sorted(dirty):
+                names, ids = self._cons[i]
+                consumers = cons_masks[i]
+                killers: List[str] = []
+                mask = 0
+                for name, cid in zip(names, ids):
+                    bit = 1 << cid
+                    if reach[cid] & consumers == bit:
+                        killers.append(name)
+                        mask |= bit
+                if mask == pk_masks[i]:
+                    continue
+                if not changed:
+                    pk = self._pk = dict(pk)
+                    rows = self._rows = list(rows)
+                    pk_masks = self._pk_masks = list(pk_masks)
+                changed.append(i)
+                pk_masks[i] = mask
+                rows[i] = killers
+                pk[self._values[i]] = killers
+            self._changed_rows.update(changed)
         return changed
 
-    def _rechoose_fixed(self, values) -> None:
-        """Re-choose the ``canonical`` and ``asap-induced`` killers of *values*.
+    def _choose_fixed(self, i: int, asap: Mapping[str, int]) -> Tuple[str, str]:
+        """The ``canonical`` and ``asap-induced`` killers of value *i*.
 
         Like :func:`~repro.saturation.pkill.canonical_killing_function` and
         :func:`~repro.saturation.pkill.killing_function_from_schedule` on
         the ASAP schedule: the potential killer of largest ASAP time, or of
-        largest ASAP read time, ties broken by name.  The new mappings are
-        copies, so a pop restores the old ones; assigning into a copy keeps
-        pk order.
+        largest ASAP read time, ties broken by name.
         """
 
-        pk, asap, read = self._pk, self._mirror.asap_times(), self._read
-        canonical, induced = dict(self._canonical), dict(self._induced)
-        for value in values:
-            killers = pk[value]  # type: ignore[index]
-            if killers:
-                canonical[value] = max(killers, key=lambda k: (asap[k], k))
-                induced[value] = max(killers, key=lambda k: (asap[k] + read[k], k))
-        self._canonical, self._induced = canonical, induced
+        killers = self._rows[i]
+        canonical = max(killers, key=lambda k: (asap[k], k))
+        if self._zero_read:
+            return canonical, canonical
+        read = self._read
+        return canonical, max(killers, key=lambda k: (asap[k] + read[k], k))
+
+    def _rechoose_fixed(self, indices) -> None:
+        """Re-choose the ``canonical`` and ``asap-induced`` killers of the values
+        at *indices*; a function whose killers all stand keeps its object.
+
+        A changed function copies the mapping and assigns into the copy,
+        which keeps the order of the values already in it, so a pop
+        restores the old object.
+        """
+
+        from .pkill import KillingFunction  # local: avoids import cycle
+
+        asap, values = self._mirror.asap_times(), self._values
+        canonical_of, induced_of = self._canonical_of, self._induced_of
+        moved_canonical: List[Tuple[int, str]] = []
+        moved_induced: List[Tuple[int, str]] = []
+        for i in indices:
+            if not self._rows[i]:
+                continue
+            canonical, induced = self._choose_fixed(i, asap)
+            if canonical != canonical_of[i]:
+                moved_canonical.append((i, canonical))
+            if induced != induced_of[i]:
+                moved_induced.append((i, induced))
+        if moved_canonical:
+            canonical_of = self._canonical_of = list(canonical_of)
+            mapping = dict(self._canonical.mapping)  # type: ignore[union-attr]
+            for i, killer in moved_canonical:
+                canonical_of[i] = mapping[values[i]] = killer
+            self._canonical = KillingFunction(self.rtype, mapping)
+        if self._zero_read:
+            self._induced, self._induced_of = self._canonical, self._canonical_of
+        elif moved_induced:
+            induced_of = self._induced_of = list(induced_of)
+            mapping = dict(self._induced.mapping)  # type: ignore[union-attr]
+            for i, killer in moved_induced:
+                induced_of[i] = mapping[values[i]] = killer
+            self._induced = KillingFunction(self.rtype, mapping)
 
     # ------------------------------------------------------------------ #
     # Push / pop / query
@@ -1777,7 +1955,11 @@ class IncrementalSaturation:
             if displaced is None or displaced.latency < edge.latency:
                 g.add_edge(edge)
                 added.append((edge, displaced))
-        self._frames.append((self._pk, self._kdv, self._canonical, self._induced, added))
+        self._frames.append((
+            self._pk, self._rows, self._pk_masks, self._kdv,
+            self._canonical, self._induced, self._canonical_of, self._induced_of,
+            added,
+        ))
         changed = self._update_after_push(frame.records)
         t1 = time.perf_counter()
         self.timings["analysis_push"] += t1 - t0
@@ -1800,17 +1982,20 @@ class IncrementalSaturation:
     def pop(self) -> None:
         if not self._frames:
             raise IndexError("no pushed serialization frame to pop")
-        pk, kdv, canonical, induced, added = self._frames.pop()
+        (
+            self._pk, self._rows, self._pk_masks, self._kdv,  # type: ignore[assignment]
+            self._canonical, self._induced, self._canonical_of, self._induced_of,
+            added,
+        ) = self._frames.pop()
         self._mirror.pop()
         g = self._working
-        for edge, displaced in reversed(added):
+        for edge, displaced in reversed(added):  # type: ignore[union-attr]
             g.remove_edge(edge)
             if displaced is not None:
                 g.add_edge(displaced)
-        self._pk = pk  # type: ignore[assignment]
-        self._kdv = kdv  # type: ignore[assignment]
-        self._canonical = canonical  # type: ignore[assignment]
-        self._induced = induced  # type: ignore[assignment]
+        # Older rows and smaller masks are back: the next Greedy-k call
+        # walks every component.
+        self._walk_all = True
         # Candidate DV states replay their per-push undo frame (killer bits
         # or reach entries, killed mirror, persistent antichain engine) or
         # just drop the still-deferred push; a state rebuilt or patched
@@ -1839,25 +2024,75 @@ class IncrementalSaturation:
         ``canonical_killing_function`` and ``killing_function_from_schedule``
         on the ASAP schedule of the current mirror; the
         ``candidate_functions`` hook of
-        :func:`~repro.saturation.greedy.greedy_saturation`.
+        :func:`~repro.saturation.greedy.greedy_saturation`.  A function
+        whose content did not change since the previous call is the same
+        object.
+        """
+
+        self._ensure_pk()
+        t0 = time.perf_counter()
+        decomposed = self.component_cache.seconds
+        if self._walk_all:
+            # A pop restores the fixed functions of an older depth; one
+            # that maps like the last one returned stays that object.
+            last_canonical, last_induced = self._returned_fixed
+            self._canonical = _same_function(self._canonical, last_canonical)
+            self._induced = _same_function(self._induced, last_induced)
+        self._returned_fixed = (self._canonical, self._induced)
+        candidates = [("greedy-k", self._greedy_function())]
+        if extra_candidates:
+            candidates.append(("canonical", self._canonical))
+            candidates.append(("asap-induced", self._induced))
+        self.timings["killing_functions"] += (
+            time.perf_counter() - t0 - (self.component_cache.seconds - decomposed)
+        )
+        return candidates
+
+    def _greedy_function(self):
+        """The greedy-k function, re-choosing only what the pushes touched.
+
+        Without a changed row since the previous call the decomposition is
+        the same, and a component's assignment depends only on its values'
+        rows and its killers' drag masks: only the components holding a
+        killer whose mask a push replaced can move, and only their values
+        are updated, in a copy of the previous mapping (which keeps dict
+        order).  Otherwise every component is walked.
         """
 
         from .greedy import _killing_mapping  # local: avoids import cycle
         from .pkill import KillingFunction
 
-        self._ensure_pk()
-        t0 = time.perf_counter()
-        decomposed = self.component_cache.seconds
-        pk, cache = self._pk, self.component_cache
-        mapping = _killing_mapping(cache.decompose(pk), pk, self._kdv, self.choices)
-        candidates = [("greedy-k", KillingFunction(self.rtype, mapping))]
-        if extra_candidates:
-            candidates.append(("canonical", KillingFunction(self.rtype, self._canonical)))
-            candidates.append(("asap-induced", KillingFunction(self.rtype, self._induced)))
-        self.timings["killing_functions"] += (
-            time.perf_counter() - t0 - (cache.seconds - decomposed)
-        )
-        return candidates
+        pk, kdv, cache, choices = self._pk, self._kdv, self.component_cache, self.choices
+        previous = self._greedy
+        if previous is None or self._walk_all or self._changed_rows:
+            values = self._values
+            changed = (
+                None if previous is None or self._walk_all
+                else [values[i] for i in self._changed_rows]
+            )
+            mapping = _killing_mapping(cache.decompose(pk, changed), pk, kdv, choices)
+            self.stats["killing_full_passes"] += 1
+            # Equal content in another order (a split or merged component)
+            # is another function.
+            previous = _same_function(KillingFunction(self.rtype, mapping), previous)
+        else:
+            cache.decompose(pk, ())
+            update: Optional[Dict[Value, str]] = None
+            for comp_values, comp_killers in cache.components_of(self._touched_killers):
+                hits = choices.hits
+                assignment = choices.assignment(comp_values, comp_killers, pk, kdv)
+                if choices.hits != hits:
+                    continue  # the stored choice, already in the mapping
+                if update is None:
+                    update = dict(previous.mapping)
+                update.update(assignment)
+            if update is not None and update != previous.mapping:
+                previous = KillingFunction(self.rtype, update)
+        self._greedy = previous
+        self._touched_killers = set()
+        self._changed_rows = set()
+        self._walk_all = False
+        return previous
 
     def candidate_antichain(self, label: str, kf) -> Optional[List[Value]]:
         """Warm evaluation of one Greedy-k candidate killing function.

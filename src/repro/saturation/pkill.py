@@ -101,6 +101,11 @@ class KillingFunction:
     Values that have no consumer at all (possible when the DDG has not been
     normalised with the bottom node) are simply absent from the mapping:
     they die where they are born and never constrain other values.
+
+    The mapping is a private copy that is never mutated once built, so
+    holders may keep it by reference and compare functions by identity
+    first (the incremental engine hands back an unchanged function as the
+    same object).
     """
 
     rtype: RegisterType

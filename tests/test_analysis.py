@@ -83,7 +83,11 @@ class TestReachability:
     def test_mini_graph_acyclicity_leaves_no_garbage(self):
         # The reduction loop checks every push; a reference cycle left per
         # call would feed the collector on every iteration.
-        reach = {"a": {"b"}, "b": set(), "c": set()}.__getitem__
+        below = {"a": {"b"}, "b": set(), "c": set()}
+
+        def reaches(u, v):
+            return v in below[u]
+
         edges = [
             Edge("b", "c", 1, DependenceKind.SERIAL, None),
             Edge("a", "c", 1, DependenceKind.SERIAL, None),
@@ -91,10 +95,39 @@ class TestReachability:
         gc.collect()
         gc.disable()
         try:
-            assert mini_graph_remains_acyclic(edges, reach)
+            assert mini_graph_remains_acyclic(edges, reaches)
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mini_graph_check_agrees_for_both_reach_predicates(self, seed):
+        # The context tests set membership and the warm analysis tests a
+        # bit; both must answer as the graph walk does, cycle-closing arc
+        # sets included.
+        import random
+
+        from repro.analysis.context import context_for
+        from repro.analysis.graphalgo import would_remain_acyclic
+        from repro.codes.generator import layered_random_ddg
+        from repro.saturation.incremental import IncrementalAnalysis
+
+        rng = random.Random(seed)
+        ddg = layered_random_ddg(nodes=14, layers=4, seed=seed)
+        ctx = context_for(ddg)
+        analysis = IncrementalAnalysis(ddg.copy())
+        nodes = ddg.nodes()
+        verdicts = set()
+        for _ in range(60):
+            edges = [
+                Edge(*rng.sample(nodes, 2), 1, DependenceKind.SERIAL, None)
+                for _ in range(rng.randint(1, 3))
+            ]
+            expected = would_remain_acyclic(ddg, edges)
+            assert ctx.remains_acyclic_with_edges(edges) == expected, edges
+            assert analysis.remains_acyclic_with_edges(edges) == expected, edges
+            verdicts.add(expected)
+        assert verdicts == {True, False}
 
 
 class TestRedundantEdges:

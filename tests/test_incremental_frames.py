@@ -203,10 +203,11 @@ class TestRandomInterleavings:
 
             m = sat.mirror_ddg.copy()
             value_nodes = {v.node for v in m.values(INT)}
+            op_id = sat.mirror.op_id
             for killers in sat._pk.values():
                 for killer in killers:
-                    below = _reachable_by_dfs(m, killer) - {killer}
-                    assert sat._kdv[killer] == below & value_nodes, label
+                    below = (_reachable_by_dfs(m, killer) - {killer}) & value_nodes
+                    assert sat._kdv[killer] == sum(1 << op_id(n) for n in below), label
             fresh = [
                 ("greedy-k", greedy_killing_function(m, INT)),
                 ("canonical", canonical_killing_function(m, INT)),
