@@ -19,7 +19,9 @@ and checks the whole contract:
   ~40-90x locally);
 * the store statistics are dumped to ``REPRO_STORE_STATS_FILE`` (default
   ``store-stats.json`` in the working directory) so CI can upload them as
-  an artifact.
+  an artifact.  Its ``entries_by_query`` holds the entries the cold run
+  wrote, per query, read back from disk, so the split between Greedy-k,
+  reduction and experiment entries is visible from run to run.
 
 The store location honours the ambient configuration (``REPRO_STORE_DIR``);
 without one a temporary directory is used and removed afterwards, so the
@@ -31,11 +33,14 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import tempfile
 import time
+from collections import Counter
 from contextlib import contextmanager
 
 from repro.analysis import active_store, store_active
+from repro.analysis.store import STORE_SCHEMA_VERSION
 from repro.codes import benchmark_suite
 from repro.core import superscalar
 from repro.experiments import (
@@ -59,6 +64,20 @@ def _benchmark_store():
     with tempfile.TemporaryDirectory(prefix="repro-store-bench-") as tmp:
         with store_active(tmp) as store:
             yield store
+
+
+def _entries_by_query(store) -> Counter:
+    """The store's current-schema entries by query, read back from disk.
+
+    Entries written by worker processes count too, which the dispatching
+    process's own ``store.stats`` does not see.
+    """
+
+    found: Counter = Counter()
+    for path in store.root.glob(f"v{STORE_SCHEMA_VERSION}/[0-9a-f][0-9a-f]/*.pkl"):
+        with open(path, "rb") as fh:
+            found[pickle.load(fh)["query"]] += 1
+    return found
 
 
 def _run_smoke_suite(engine):
@@ -89,11 +108,13 @@ def test_warm_store_run_is_faster_and_byte_identical(engine):
     stats_file = os.environ.get("REPRO_STORE_STATS_FILE", "store-stats.json")
 
     with _benchmark_store() as store:
+        entries_before = _entries_by_query(store)
         t0 = time.perf_counter()
         cold_reports = _run_smoke_suite(engine)
         cold_time = time.perf_counter() - t0
 
         cold_stats = store.stats.as_dict()
+        cold_entries = dict(sorted((_entries_by_query(store) - entries_before).items()))
         warm_mark_hits, warm_mark_lookups = store.stats.hits, store.stats.lookups
 
         t0 = time.perf_counter()
@@ -109,6 +130,8 @@ def test_warm_store_run_is_faster_and_byte_identical(engine):
         print(f"store root         : {store.root}")
         print(f"entries on disk    : {store.entry_count()}")
         print(f"cold run           : {cold_time:.3f}s ({cold_stats['puts']} puts)")
+        for query, count in cold_entries.items():
+            print(f"  cold entries     : {count:4d} {query}")
         print(f"warm run           : {warm_time:.3f}s "
               f"({warm_hits}/{warm_lookups} lookups hit, {hit_rate:.1%})")
         print(f"speedup            : {speedup:.1f}x (floor {minimum:.1f}x)")
@@ -121,6 +144,7 @@ def test_warm_store_run_is_faster_and_byte_identical(engine):
             "warm_lookups": warm_lookups,
             "warm_hit_rate": hit_rate,
             "entries": store.entry_count(),
+            "entries_by_query": cold_entries,
             "totals": store.stats.as_dict(),
         }
         with open(stats_file, "w", encoding="utf-8") as fh:

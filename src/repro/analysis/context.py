@@ -226,6 +226,14 @@ class AnalysisContext:
         :func:`repro.analysis.store.active_store`) the argument is inert,
         so callers can pass it unconditionally.  Persisted values must be
         picklable and deterministic functions of (graph content, params).
+
+        Persist answers, not trajectories: pass ``persist`` only for a
+        graph a caller holds and may ask about again, in this run or a
+        later one.  A graph that lives only inside one algorithm's loop
+        (the RS* loop's working graph, which changes with every
+        serialization) memoizes without it; each of its entries would cost
+        a content hash, a lookup and an fsynced write, and a later run
+        served from them would skip work whose counters it reports.
         """
 
         if not self._enabled:

@@ -57,7 +57,7 @@ from ..core.graph import DDG, Edge
 from ..core.machine import ProcessorModel
 from ..core.types import RegisterType, Value, canonical_type
 from ..errors import CyclicGraphError, SpillRequiredError
-from ..saturation.greedy import greedy_saturation
+from ..saturation.greedy import _working_saturation, greedy_saturation
 from ..saturation.result import SaturationResult
 from .result import ReductionResult
 from .session import ReductionSession, scan_floor
@@ -130,7 +130,7 @@ class _FromScratchDriver:
         return edges
 
     def saturation(self) -> SaturationResult:
-        return greedy_saturation(self.current, self.rtype, ctx=context_for(self.current))
+        return _working_saturation(self.current, self.rtype, context_for(self.current))
 
     def graph(self) -> DDG:
         return self.current
@@ -338,11 +338,14 @@ def reduce_saturation_heuristic(
     rtype / registers:
         Register type and budget ``R_t``.
     machine:
-        Optional machine description; only used to pick the default
-        serialization-latency mode (sequential for superscalar targets,
-        read/write offsets otherwise).
+        Not read.  It stays in the signature because
+        :func:`~repro.reduction.reduce_saturation` and the Figure-1
+        pipeline pass it; the operations of *ddg* already carry the
+        machine's read/write offsets.
     mode:
-        Override of the serialization mode (:class:`SerializationMode`).
+        The serialization mode (:class:`SerializationMode`); defaults to
+        ``SerializationMode.OFFSETS`` for every machine.  The paper's
+        per-family rule is ``mode=SerializationMode.for_machine(machine)``.
     max_iterations:
         Safety bound on the number of serializations; defaults to
         ``|V_{R,t}|^2`` which is far more than ever needed.
@@ -452,6 +455,9 @@ def reduce_saturation_multi_budget(
     descending order and lets the engine continue where the previous budget
     stopped, so the total work equals one run to the *smallest* budget plus
     a graph snapshot per budget.
+
+    *machine* is accepted like :func:`reduce_saturation_heuristic`'s and is
+    not read either; *mode* defaults to ``SerializationMode.OFFSETS``.
 
     Returns ``{budget: ReductionResult}``.  Every per-budget result is
     byte-identical (wall time and engine statistics aside) to a standalone

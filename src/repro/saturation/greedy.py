@@ -489,15 +489,13 @@ def greedy_killing_function(
 
 
 # --------------------------------------------------------------------------- #
-# Candidate killing functions and the public entry point
+# The public entry point and the RS* loop's private path
 # --------------------------------------------------------------------------- #
 def greedy_saturation(
     ddg: DDG,
     rtype: RegisterType | str,
     extra_candidates: bool = True,
     ctx: Optional[AnalysisContext] = None,
-    candidate_evaluator=None,
-    candidate_functions=None,
 ) -> SaturationResult:
     """Approximate the register saturation ``RS_t(G)`` with the Greedy-k heuristic.
 
@@ -518,22 +516,11 @@ def greedy_saturation(
         Optional shared :class:`~repro.analysis.context.AnalysisContext` of
         *ddg*.  The final result is memoized on it, so the pipeline stages
         and the reduction pass asking for the same saturation pay for one
-        computation.
-    candidate_evaluator:
-        Optional ``(label, killing_function) -> antichain | None`` hook that
-        replaces the killed-graph construction + DV-DAG + antichain per
-        candidate; ``None`` means the killing function is invalid (cyclic
-        killed graph).  The incremental reduction engine supplies its warm
-        per-candidate DV states here; the hook must return exactly what the
-        built-in path would.
-    candidate_functions:
-        Optional ``extra_candidates -> [(label, killing_function), ...]``
-        hook that replaces building the candidate killing functions of the
-        bottom-normalised graph: ``greedy-k``, then, with
-        *extra_candidates*, ``canonical`` and ``asap-induced``.  The
-        incremental reduction engine supplies its warm functions here
-        (:meth:`~repro.saturation.incremental.IncrementalSaturation.candidate_functions`);
-        the hook must return exactly what the built-in path would.
+        computation.  With a result store active, a miss on *ctx* is looked
+        up in the store under the graph's content hash, and a computed
+        result is stored as ``saturation.greedy``; a hit on *ctx* touches
+        no store.  The RS* loop's per-iteration saturations share this memo
+        entry but never reach the store (:func:`_working_saturation`).
 
     Returns
     -------
@@ -548,20 +535,59 @@ def greedy_saturation(
     ctx = ctx if ctx is not None else context_for(ddg)
     return ctx.memo(
         ("greedy_saturation", rtype, extra_candidates),
-        lambda: _greedy_saturation_uncached(
-            ddg,
-            rtype,
-            extra_candidates,
-            ctx,
-            candidate_evaluator,
-            candidate_functions,
-        ),
+        lambda: _greedy_saturation_uncached(ddg, rtype, extra_candidates, ctx),
         # Cross-run tier (inert unless a result store is active): the result
-        # is a deterministic function of graph content + these parameters --
-        # the hooks only affect speed, never the result.
+        # is a deterministic function of graph content + these parameters.
         persist=(
             "saturation.greedy",
             {"rtype": rtype.name, "extra_candidates": extra_candidates},
+        ),
+    )
+
+
+def _working_saturation(
+    ddg: DDG,
+    rtype: RegisterType,
+    ctx: AnalysisContext,
+    candidate_evaluator=None,
+    candidate_functions=None,
+) -> SaturationResult:
+    """Greedy-k of a reduction loop's working graph, memoized on *ctx* only.
+
+    Equal to ``greedy_saturation(ddg, rtype, ctx=ctx)`` and shares its
+    in-memory memo entry, but never hashes the graph and never reads or
+    writes the result store.  The RS* loop asks this after every applied
+    serialization, of a graph that exists only inside the loop.  Persisting
+    those answers would cost a content hash, a lookup and an fsynced write
+    per iteration, for entries that only a later reduction of the same
+    graph to a smaller budget reads; that run would skip its warm engine
+    for the first iterations and report engine counters that depend on
+    what the store held.
+
+    The two hooks let the incremental engine supply its warm state; each
+    must return exactly what the built-in path would, so they change the
+    speed, never the result.
+
+    candidate_evaluator:
+        Optional ``(label, killing_function) -> antichain | None`` hook that
+        replaces the killed-graph construction + DV-DAG + antichain per
+        candidate; ``None`` means the killing function is invalid (cyclic
+        killed graph).  The incremental engine supplies its warm
+        per-candidate DV states here
+        (:meth:`~repro.saturation.incremental.IncrementalSaturation.candidate_antichain`).
+    candidate_functions:
+        Optional ``extra_candidates -> [(label, killing_function), ...]``
+        hook that replaces building the candidate killing functions of the
+        bottom-normalised graph: ``greedy-k``, ``canonical`` and
+        ``asap-induced``.  The incremental engine supplies its warm
+        functions here
+        (:meth:`~repro.saturation.incremental.IncrementalSaturation.candidate_functions`).
+    """
+
+    return ctx.memo(
+        ("greedy_saturation", rtype, True),
+        lambda: _greedy_saturation_uncached(
+            ddg, rtype, True, ctx, candidate_evaluator, candidate_functions
         ),
     )
 

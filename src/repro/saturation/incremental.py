@@ -2024,7 +2024,7 @@ class IncrementalSaturation:
         ``canonical_killing_function`` and ``killing_function_from_schedule``
         on the ASAP schedule of the current mirror; the
         ``candidate_functions`` hook of
-        :func:`~repro.saturation.greedy.greedy_saturation`.  A function
+        :func:`~repro.saturation.greedy._working_saturation`.  A function
         whose content did not change since the previous call is the same
         object.
         """
@@ -2150,15 +2150,24 @@ class IncrementalSaturation:
         return result
 
     def saturation(self) -> SaturationResult:
-        """Greedy-k of the working graph, identical to a from-scratch run."""
+        """Greedy-k of the working graph, identical to a from-scratch run.
 
-        from .greedy import greedy_saturation  # local: avoids import cycle
+        Memoized on the working graph's context only (through
+        :func:`~repro.saturation.greedy._working_saturation`): the graph
+        changes with every push, so the answer is never hashed, looked up
+        in or written to a result store, and the warm engine computes every
+        revision whatever a store holds.  A second call at the same
+        revision is answered from the context and leaves the counters
+        unchanged.
+        """
+
+        from .greedy import _working_saturation  # local: avoids import cycle
 
         self._inject()
-        result = greedy_saturation(
+        result = _working_saturation(
             self._working,
             self.rtype,
-            ctx=context_for(self._working),
+            context_for(self._working),
             candidate_evaluator=self.candidate_antichain,
             candidate_functions=self.candidate_functions,
         )

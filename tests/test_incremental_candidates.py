@@ -59,7 +59,11 @@ from repro.reduction.heuristic import _HeuristicLoop, _SessionDriver
 from repro.reduction.session import scan_floor
 from repro.reduction.serialization import SerializationMode
 from repro.saturation.dvk import saturating_antichain
-from repro.saturation.greedy import greedy_killing_function, greedy_saturation
+from repro.saturation.greedy import (
+    _working_saturation,
+    greedy_killing_function,
+    greedy_saturation,
+)
 from repro.saturation.incremental import (
     IncrementalSaturation,
     _CandidateDVState,
@@ -469,7 +473,7 @@ class TestDistinctCandidates:
             calls.append((label, kf.mapping))
             return _antichain(g, kf)
 
-        results = [greedy_saturation(ddg, INT, candidate_evaluator=evaluator)]
+        results = [_working_saturation(ddg, INT, context_for(ddg), candidate_evaluator=evaluator)]
         results += [greedy_saturation(ddg.copy(), INT)] + ([] if warm is None else [warm])
         candidates = [
             ("greedy-k", greedy_killing_function(g, INT)),

@@ -1,9 +1,12 @@
 """Tests for the canonical graph hash and the persistent result store."""
 
+import dataclasses
 import os
 import pickle
 import random
 import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +26,7 @@ from repro.core.graph import DDG
 from repro.core.operation import Operation
 from repro.core.types import FLOAT, INT
 from repro.experiments import BatchEngine, run_pipeline_experiment
+from repro.reduction import reduce_saturation_heuristic, reduce_saturation_multi_budget
 from repro.saturation import greedy_saturation
 
 
@@ -47,6 +51,46 @@ def rebuild_shuffled(ddg: DDG, seed: int) -> DDG:
     for edge in edges:
         g.add_edge(edge)
     return g
+
+
+def _suite_entry(name: str):
+    from repro.codes import benchmark_suite
+
+    return next(e for e in benchmark_suite() if e.name == name)
+
+
+def _entries_on_disk(root) -> Counter:
+    """``(graph hash, query)`` of every entry under *root*, read back from disk."""
+
+    found: Counter = Counter()
+    for path in Path(root).glob("v*/[0-9a-f][0-9a-f]/*.pkl"):
+        with open(path, "rb") as fh:
+            payload = pickle.load(fh)
+        found[payload["graph_hash"], payload["query"]] += 1
+    return found
+
+
+def _reduction_record(result):
+    """Every field of a ReductionResult but its wall time and stage timers.
+
+    The extended graph enters as its arc list, and the engine counters as
+    the rest of ``engine_stats``.
+    """
+
+    record = {}
+    for f in dataclasses.fields(result):
+        value = getattr(result, f.name)
+        if f.name == "wall_time":
+            continue
+        if f.name == "extended_ddg":
+            value = list(value.edges())
+        elif f.name == "details":
+            value = dict(value)
+            stats = dict(value.pop("engine_stats", {}))
+            stats.pop("stage_timings", None)
+            value["engine_stats"] = stats
+        record[f.name] = value
+    return record
 
 
 class TestCanonicalGraphHash:
@@ -250,6 +294,83 @@ class TestPersistentMemoTier:
             calls = []
             assert ctx.memo("z", lambda: calls.append(1) or 1, persist=("q0", None)) == 0
             assert not calls and store.stats.hits == 1
+
+    # The RS* loop's per-iteration saturations stay out of the store: a
+    # reduction persists its input's Greedy-k and its own report, nothing
+    # of the working graphs it walks through.
+    @pytest.mark.parametrize("engine", ["incremental", "from-scratch"])
+    def test_reduction_writes_two_entries_whatever_its_iterations(self, tmp_path, engine):
+        ddg = _suite_entry("dsp-fir6").ddg
+        ghash = canonical_graph_hash(ddg)
+        results = {}
+        for registers in (2, 3, 5):
+            root = tmp_path / f"r{registers}"
+            with store_active(root) as store:
+                results[registers] = reduce_saturation_heuristic(
+                    ddg.copy(), FLOAT, registers, engine=engine
+                )
+            assert _entries_on_disk(root) == {
+                (ghash, "saturation.greedy"): 1,
+                (ghash, "reduction.heuristic.v4"): 1,
+            }
+            assert store.stats.puts == 2
+        iterations = {r.details["iterations"] for r in results.values()}
+        assert len(iterations) == 3 and max(iterations) >= 20
+
+        with store_active(tmp_path / "r3") as store:
+            again = reduce_saturation_heuristic(rebuild_shuffled(ddg, 5), FLOAT, 3, engine=engine)
+        assert store.stats.puts == 0 and store.stats.hits == 1
+        assert again.added_edges == results[3].added_edges
+
+    def test_pipeline_writes_the_same_two_entries(self, tmp_path):
+        from repro.core import superscalar
+        from repro.experiments import run_pipeline
+
+        entry = _suite_entry("dsp-fir6")
+        machine = superscalar(int_registers=3, float_registers=3)
+        ghash = canonical_graph_hash(entry.ddg)
+        with store_active(tmp_path) as store:
+            cold = run_pipeline(entry, FLOAT, machine)
+            assert cold.reduction_needed and store.stats.puts == 2
+            assert _entries_on_disk(tmp_path) == {
+                (ghash, "saturation.greedy"): 1,
+                (ghash, "reduction.heuristic.v4"): 1,
+            }
+            rebuilt = dataclasses.replace(entry, ddg=rebuild_shuffled(entry.ddg, 9))
+            warm = run_pipeline(rebuilt, FLOAT, machine)
+            assert store.stats.puts == 2  # the rebuilt graph wrote nothing
+        assert dataclasses.replace(warm, wall_time=0) == dataclasses.replace(cold, wall_time=0)
+
+    def test_reduction_results_do_not_depend_on_what_the_store_holds(self, tmp_path):
+        """A store holding a larger-budget run of the same graph changes nothing.
+
+        Every field of a store-backed reduction equals the store-less run's,
+        wall time and stage timers aside, including the extended graph's
+        arcs and the engine counters, which record how the warm engine got
+        there; the same holds per budget of a ladder.
+        """
+
+        graphs = [
+            (_suite_entry("linpack-daxpy-u4").ddg, FLOAT),
+            (_suite_entry("dsp-fir6").ddg, FLOAT),
+            (layered_random_ddg(16, 4, seed=13), INT),
+            (layered_random_ddg(16, 4, seed=7), INT),
+        ]
+        for i, (ddg, rtype) in enumerate(graphs):
+            for first, second in ((5, 3), (4, 2)):
+                alone = reduce_saturation_heuristic(ddg.copy(), rtype, second)
+                ladder = reduce_saturation_multi_budget(ddg.copy(), rtype, (first, second))
+                with store_active(tmp_path / f"{i}-{first}-{second}"):
+                    reduce_saturation_heuristic(ddg.copy(), rtype, first)
+                    stored = reduce_saturation_heuristic(ddg.copy(), rtype, second)
+                    stored_ladder = reduce_saturation_multi_budget(
+                        ddg.copy(), rtype, (first, second)
+                    )
+                assert _reduction_record(stored) == _reduction_record(alone)
+                for budget in (first, second):
+                    assert _reduction_record(stored_ladder[budget]) == _reduction_record(
+                        ladder[budget]
+                    )
 
 
 class TestEngineStoreIntegration:
