@@ -15,6 +15,10 @@ This benchmark runs the experiment smoke suite twice:
   (default ``crash:0.1,hang:0.05,...``: >=10% of worker attempts die or
   stall), per-item timeout from ``REPRO_TIMEOUT`` (default 30s).
 
+Both passes run with the result store off, whatever the environment says:
+an ambient store filled by the reference pass would answer the chaos
+pass's items, and its fault plan would never run.
+
 It asserts the chaos pass completes, matches the reference byte for byte,
 reports one outcome per dispatched item, and actually observed faults
 (otherwise the run proved nothing).  The full fault history is written to
@@ -30,6 +34,7 @@ import os
 import time
 from contextlib import contextmanager
 
+from repro.analysis import store_active
 from repro.codes import benchmark_suite
 from repro.core import superscalar
 from repro.experiments import (
@@ -47,6 +52,10 @@ _SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 #: Everything that can switch the engine into supervised mode from the
 #: environment; the reference pass runs with all of it stripped.
 _SUPERVISION_ENV = ("REPRO_FAULTS", "REPRO_TIMEOUT", "REPRO_RETRIES", "REPRO_SPECULATE")
+
+#: Everything that can switch the result store on from the environment
+#: (workers read it too); both passes run with all of it stripped.
+_STORE_ENV = ("REPRO_STORE", "REPRO_STORE_DIR")
 
 #: Used when the job does not export REPRO_FAULTS itself.  The seed makes
 #: the rate-based schedule reproducible run over run; the planted faults
@@ -113,8 +122,9 @@ def test_chaos_run_is_byte_identical_to_serial_reference():
     assert plan.active, f"REPRO_FAULTS={spec!r} plans no faults at all"
     history_file = os.environ.get("REPRO_FAULT_HISTORY_JSON", "chaos-fault-history.json")
 
-    cleared = {key: None for key in _SUPERVISION_ENV}
-    with _environment(**cleared):
+    no_store = {key: None for key in _STORE_ENV}
+    cleared = {key: None for key in _SUPERVISION_ENV + _STORE_ENV}
+    with store_active(None), _environment(**cleared):
         t0 = time.perf_counter()
         reference, reference_rs, reference_outcomes = _run_smoke_suite(
             BatchEngine("serial")
@@ -122,7 +132,7 @@ def test_chaos_run_is_byte_identical_to_serial_reference():
         reference_time = time.perf_counter() - t0
 
     timeout = os.environ.get("REPRO_TIMEOUT", "30")
-    with _environment(REPRO_FAULTS=spec, REPRO_TIMEOUT=timeout):
+    with store_active(None), _environment(REPRO_FAULTS=spec, REPRO_TIMEOUT=timeout, **no_store):
         t0 = time.perf_counter()
         chaos, chaos_rs, chaos_outcomes = _run_smoke_suite(
             BatchEngine("process", workers=2)

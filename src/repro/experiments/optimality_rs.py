@@ -2,9 +2,10 @@
 
 For every DAG of the experiment population and every register type it
 defines, compute the Greedy-k approximation ``RS*`` and the exact value
-``RS`` (:func:`~repro.saturation.exact_saturation`: proven by bounds when a
-Greedy-k witness meets the upper bound, by the Section-3 intLP otherwise),
-and report the error distribution.  The paper's finding: "the maximal
+``RS`` (:func:`~repro.saturation.exact_saturation`: proven by bounds when
+Greedy-k meets the upper bound, by a branch and bound over killing
+functions when it does not, by the Section-3 intLP when neither settles
+it), and report the error distribution.  The paper's finding: "the maximal
 empirical error is one register (in very few cases)"; ``RS* > RS`` is
 impossible because the heuristic exhibits a valid witness.
 """
@@ -26,6 +27,9 @@ from .supervisor import ItemOutcome
 
 __all__ = ["RSComparison", "RSOptimalityReport", "run_rs_optimality"]
 
+#: ``exact_saturation`` methods that prove RS without building the intLP.
+_SOLVE_FREE_METHODS = ("bounds", "search")
+
 
 @dataclass(frozen=True)
 class RSComparison:
@@ -40,8 +44,8 @@ class RSComparison:
     rs_heuristic: int
     time_exact: float
     time_heuristic: float
-    #: The intLP backend that proved ``rs_exact``, or ``"bounds"`` when the
-    #: bounds proved it without a solve.
+    #: The intLP backend that proved ``rs_exact``, or the method that
+    #: proved it without a solve (``"bounds"`` or ``"search"``).
     backend: str = ""
 
     @property
@@ -86,6 +90,12 @@ class RSOptimalityReport:
         """Instances whose ``RS`` the bounds proved without a solve."""
 
         return sum(1 for c in self.comparisons if c.backend == "bounds")
+
+    @property
+    def solve_free_count(self) -> int:
+        """Instances whose ``RS`` was proven without a solve, by any method."""
+
+        return sum(1 for c in self.comparisons if c.backend in _SOLVE_FREE_METHODS)
 
     @property
     def optimal_percentage(self) -> float:
@@ -141,6 +151,7 @@ class RSOptimalityReport:
             f"instances analysed           : {self.instances}",
             f"heuristic exactly optimal    : {self.optimal_count} ({self.optimal_percentage:.2f}%)",
             f"proven optimal by bounds     : {self.bounds_count} of {self.instances}",
+            f"proven without a solve       : {self.solve_free_count} of {self.instances}",
             f"maximal empirical error      : {self.max_error} register(s)",
             f"error histogram (error=count): {hist}",
             f"geo-mean exact/heuristic time: {self.mean_speedup():.1f}x",
@@ -173,8 +184,8 @@ def _rs_instance(
         t0 = time.perf_counter()
         exact = exact_saturation(entry.ddg, rtype, backend=backend, time_limit=time_limit)
         t_exact = time.perf_counter() - t0
-        if exact.method == "bounds":
-            proof = "bounds"
+        if exact.method in _SOLVE_FREE_METHODS:
+            proof = exact.method
         else:
             proof = str(exact.details.get("backend", backend)) or backend
         comparisons.append(
@@ -238,9 +249,9 @@ def run_rs_optimality(
         tasks,
         plan=_plan_rs_task,
         store=active_store(),
-        # .v2: the backend column reads "bounds" for instances proven
-        # without a solve; rows stored before that are kept apart.
-        query="experiment.rs_optimality.v2",
+        # .v3: the backend column reads "search" for instances the branch
+        # and bound settles; rows stored before that are kept apart.
+        query="experiment.rs_optimality.v3",
         key_fn=lambda task: (
             context_for(task[0].ddg).graph_hash(),
             {"name": task[0].name, "time_limit": task[1], "backend": task[2]},

@@ -7,8 +7,8 @@ This package implements the paper's central concept.  Public entry points:
 * :func:`greedy_saturation` -- the nearly-optimal heuristic evaluated in
   Section 5;
 * :func:`exact_saturation` -- the exact value: proven without a solve when
-  a Greedy-k witness schedule meets :func:`saturation_upper_bound`, by the
-  Section-3 intLP otherwise;
+  Greedy-k meets :func:`saturation_upper_bound` or a branch and bound over
+  killing functions settles it, by the Section-3 intLP otherwise;
 * :func:`intlp_saturation` -- the exact intLP alone (O(n^2) variables,
   O(m + n^2) constraints);
 * the building blocks: potential killers, killing functions, killed graphs,
@@ -95,8 +95,8 @@ def compute_saturation(
     """Compute (or approximate) the register saturation of *rtype*.
 
     ``method`` is one of ``"greedy"`` (the Greedy-k heuristic, default),
-    ``"exact"`` (:func:`exact_saturation`: the bounds when a Greedy-k
-    witness meets the upper bound, the Section-3 intLP otherwise),
+    ``"exact"`` (:func:`exact_saturation`: the bounds, then a search over
+    killing functions, then the Section-3 intLP),
     ``"schedule-enum"`` or ``"killing-enum"`` (brute-force oracles for
     small graphs).
     """

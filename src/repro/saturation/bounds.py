@@ -17,15 +17,15 @@ lifetime-stretching list schedule adds nothing: under unlimited resources
 every list-scheduling priority yields the ASAP schedule.
 
 The bounds bracket the exact value and give the test-suite its sandwich
-invariants.  When a Greedy-k witness schedule needs as many registers as
-the upper bound, :func:`~repro.saturation.exact_ilp.exact_saturation`
-answers without solving the intLP.
+invariants.  When Greedy-k's RS* meets the upper bound,
+:func:`~repro.saturation.exact_ilp.exact_saturation` answers without
+searching or solving; its search's root bound is never above this one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Callable, Dict, Mapping, Optional, Sequence, Set
 
 from ..analysis.antichain import maximum_antichain
 from ..analysis.context import AnalysisContext, context_for
@@ -38,6 +38,7 @@ from ..core.types import RegisterType, Value, canonical_type
 __all__ = [
     "SaturationBounds",
     "ordered_after",
+    "ordered_after_sets",
     "saturation_bounds",
     "saturation_upper_bound",
     "trivially_within_budget",
@@ -88,6 +89,40 @@ def ordered_after(
     return True
 
 
+def ordered_after_sets(
+    ddg: DDG,
+    values: Sequence[Value],
+    readers_of: Mapping[Value, Sequence[str]],
+    lp_from: Callable[[str], Mapping[str, float]],
+) -> Dict[Value, Set[Value]]:
+    """``u -> {v : v is written no earlier than each reader of u reads u}``.
+
+    The set form of :func:`ordered_after` over *values*: ``readers_of[u]``
+    are the reads that may end ``u`` (its consumers for the upper bound,
+    its killer or potential killers for a disjoint-value order) and
+    ``lp_from(reader)`` the longest paths from a reader.  Each reader's
+    test runs once against every value and ``u``'s set is the
+    intersection over its readers; a value without readers orders nothing.
+    """
+
+    op = ddg.operation
+    write = {v: op(v.node).delta_w for v in values}
+    reached: Dict[str, Set[Value]] = {}
+    later: Dict[Value, Set[Value]] = {}
+    for u in values:
+        sets = []
+        for reader in readers_of[u]:
+            ordered = reached.get(reader)
+            if ordered is None:
+                row, read = lp_from(reader), op(reader).delta_r
+                ordered = reached[reader] = {
+                    v for v in values if row[v.node] >= read - write[v]
+                }
+            sets.append(ordered)
+        later[u] = set.intersection(*sets) - {u} if sets else set()
+    return later
+
+
 def saturation_upper_bound(
     ddg: DDG,
     rtype: RegisterType | str,
@@ -107,11 +142,8 @@ def saturation_upper_bound(
     values = sorted(g.values(rtype))
     if not values:
         return 0
-    lp = bottom_ctx.longest_path_matrix()
-    later = {
-        u: {v for v in values if v != u and ordered_after(g, u, v, lp)}
-        for u in values
-    }
+    consumers = {u: g.consumers(u.node, rtype) for u in values}
+    later = ordered_after_sets(g, values, consumers, bottom_ctx.longest_paths_from)
     if any(not later[v] <= later[u] for u in values for v in later[u]):
         return len(values)
     return len(maximum_antichain(values, [(u, v) for u in values for v in later[u]]))

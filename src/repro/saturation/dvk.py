@@ -18,21 +18,30 @@ same instant therefore form an antichain, and the register saturation
 restricted to the killing function ``k`` is the size of a maximum antichain
 of ``DV_k``.  Maximising over valid killing functions yields the register
 saturation itself -- that is exactly what the Greedy-k heuristic
-approximates and what the exhaustive oracle of
-:mod:`repro.saturation.enumeration` computes on small graphs.
+approximates, what the exhaustive oracle of
+:mod:`repro.saturation.enumeration` computes on small graphs and what the
+branch and bound of :func:`~repro.saturation.exact_ilp.exact_saturation`
+searches.
+
+A *partial* killing function leaves some values with potential killers
+unassigned.  Such a value ``u`` is ordered before ``v`` only when every
+potential killer of ``u`` passes the test, so the order is the part of
+``DV_k`` that every completion ``k`` keeps: completing adds killing arcs,
+which only lengthen the longest paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.antichain import maximum_antichain
 from ..analysis.context import context_for
-from ..analysis.graphalgo import NEG_INF, transitive_closure_of_relation
+from ..analysis.graphalgo import transitive_closure_of_relation
 from ..core.graph import DDG
 from ..core.types import RegisterType, Value, canonical_type
-from .pkill import KillingFunction, killed_graph
+from .bounds import ordered_after_sets
+from .pkill import KillingFunction, killed_graph, potential_killers_map
 
 __all__ = ["DisjointValueDAG", "disjoint_value_dag", "saturating_antichain"]
 
@@ -74,6 +83,7 @@ def disjoint_value_dag(
     kf: KillingFunction,
     killed: Optional[DDG] = None,
     killed_ctx=None,
+    pk: Optional[Mapping[Value, List[str]]] = None,
 ) -> DisjointValueDAG:
     """Build ``DV_k(G)`` for the killing function *kf*.
 
@@ -82,8 +92,9 @@ def disjoint_value_dag(
     ddg:
         The original DDG (used for the value set and the write offsets).
     kf:
-        A killing function for one register type.  It should be valid; a
-        cyclic killed graph raises through the topological sort.
+        A killing function for one register type, possibly partial.  It
+        should be valid; a cyclic killed graph raises through the
+        topological sort.
     killed:
         The killed graph ``G->k`` if the caller already built it (avoids a
         recomputation inside loops over candidate killing functions).
@@ -91,44 +102,36 @@ def disjoint_value_dag(
         Optional :class:`~repro.analysis.context.AnalysisContext` of
         *killed* -- callers that keep killed graphs warm across reduction
         iterations pass it so the longest-path rows are reused.
+    pk:
+        The potential-killers map of *ddg* (:func:`potential_killers_map`),
+        read only for the values *kf* leaves unassigned.
     """
 
     rtype = kf.rtype
     values = tuple(sorted(ddg.values(rtype)))
     if killed is None:
-        killed = killed_graph(ddg, kf)
+        killed = killed_graph(ddg, kf, pk=pk)
+    # Each value's killers: its own, or every potential killer while
+    # unassigned.  A value without consumers has none and dies immediately;
+    # it is left incomparable (no edge), which can only overestimate the
+    # antichain of this killing function but never the saturation itself
+    # (the exact methods do not rely on this).
+    killers_of: Dict[Value, Sequence[str]] = {}
+    for u in values:
+        killer = kf.killer(u)
+        if killer is not None:
+            killers_of[u] = (killer,)
+            continue
+        if pk is None:
+            pk = potential_killers_map(ddg, rtype)
+        killers_of[u] = pk[u]
 
     # Longest paths are only needed from killer nodes; the killed graph's
     # context shares one topological sort across all of them.
     if killed_ctx is None:
         killed_ctx = context_for(killed)
-    killers = sorted({killer for killer in kf.mapping.values()})
-    lp_from_killer: Dict[str, Mapping[str, float]] = {
-        killer: killed_ctx.longest_paths_from(killer) for killer in killers
-    }
-
-    edges: Set[Tuple[Value, Value]] = set()
-    delta_w = {v: ddg.operation(v.node).delta_w for v in values}
-    for u in values:
-        killer = kf.killer(u)
-        if killer is None:
-            # A value without consumers dies immediately: every other value
-            # defined later is unordered with it only if it can be defined
-            # before u's birth; without a killer we conservatively leave it
-            # incomparable (no edge), which can only overestimate the
-            # antichain of this particular killing function but never the
-            # saturation itself (the exact methods do not rely on this).
-            continue
-        killer_read = ddg.operation(killer).delta_r
-        reach = lp_from_killer[killer]
-        for v in values:
-            if v == u:
-                continue
-            dist = reach[v.node]
-            if dist == NEG_INF:
-                continue
-            if dist >= killer_read - delta_w[v]:
-                edges.add((u, v))
+    later = ordered_after_sets(ddg, values, killers_of, killed_ctx.longest_paths_from)
+    edges = {(u, v) for u in values for v in later[u]}
 
     closure = transitive_closure_of_relation(values, edges)
     return DisjointValueDAG(rtype, values, frozenset(edges), frozenset(closure))

@@ -17,9 +17,11 @@ The formulation follows the paper variable-for-variable:
   O(n^2) binaries and constraints.
 * **Independent-set variables** -- ``x_{u^t}`` binary, with the constraint
   ``s_{u,v} = 0  =>  x_u + x_v <= 1`` written directly as
-  ``x_u + x_v - s_{u,v} <= 1``; the register saturation is the maximum of
-  ``sum_u x_u`` (a maximum clique of the interference graph, i.e. a maximum
-  independent set of its complement).
+  ``x_u + x_v - s_{u,v} <= 1``, and one row per value ``x_u = 1  =>
+  k_u >= sigma_u + delta_w(u) + 1`` (an empty lifetime holds no register);
+  the register saturation is the maximum of ``sum_u x_u`` (a maximum
+  clique of the interference graph, i.e. a maximum independent set of its
+  complement).
 
 Overall the model has O(n^2) integer variables and O(m + n^2) constraints --
 the size claim checked by ``benchmarks/bench_ilp_size.py``.
@@ -39,24 +41,25 @@ enabled by default:
   their ``s`` variable fixed to zero, which removes the associated
   equivalence machinery.
 
-:func:`exact_saturation` puts a proof in front of the solve: when a witness
-schedule built from Greedy-k's killing function needs as many registers as
-the order-width upper bound of :mod:`repro.saturation.bounds`, that need is
-the register saturation and no intLP is built.  :func:`intlp_saturation`
-always solves.
+:func:`exact_saturation` puts two proofs in front of the solve: Greedy-k
+meeting the order-width upper bound of :mod:`repro.saturation.bounds`, and
+a branch and bound over killing functions whose node bound is the width of
+a partially killed graph's disjoint-value order.  Either proof comes with a
+witness schedule needing exactly the proven RS; only what they cannot
+settle builds the intLP.  :func:`intlp_saturation` always solves.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..analysis.context import context_for
 from ..analysis.store import active_store
-from ..core.graph import DDG, Edge
+from ..core.graph import DDG
 from ..core.lifetime import max_simultaneously_alive, register_need, value_lifetimes
 from ..core.schedule import Schedule
-from ..core.types import BOTTOM, DependenceKind, RegisterType, Value, canonical_type
+from ..core.types import BOTTOM, RegisterType, Value, canonical_type
 from ..errors import SolverError
 from ..ilp import (
     IntegerProgram,
@@ -64,13 +67,15 @@ from ..ilp import (
     Solution,
     SolveStatus,
     add_equivalence_conjunction,
+    add_implication_ge,
     add_max_equality,
     solve,
 )
 from ..ilp.registry import backend_request_token
 from .bounds import ordered_after, saturation_upper_bound
 from .greedy import greedy_saturation
-from .pkill import KillingFunction, killed_graph
+from .dvk import disjoint_value_dag
+from .pkill import KillingFunction, killed_graph, killing_arc_slots, potential_killers_map
 from .result import SaturationResult
 
 __all__ = [
@@ -293,6 +298,15 @@ def build_rs_program(
     alive: Dict[Value, LinExpr] = {}
     for value in info.values:
         alive[value] = program.add_binary(info.independent_names[value])
+        # Only a non-empty lifetime holds a register: alive => kill > birth.
+        birth = LinExpr.term(info.sigma(value.node)) + info.ddg.operation(value.node).delta_w
+        add_implication_ge(
+            program,
+            alive[value],
+            LinExpr.term(info.kill(value)) - birth,
+            1.0,
+            label=f"nonempty[{value.node}]",
+        )
 
     for u, v in info.value_pairs():
         if (u, v) in info.fixed_noninterfering:
@@ -319,18 +333,28 @@ def exact_saturation(
 ) -> SaturationResult:
     """Compute the exact register saturation ``RS_t(G)``, solving only if needed.
 
-    First the bounds: a witness schedule that keeps Greedy-k's saturating
-    values alive together (Greedy-k's killed graph plus arcs forcing their
-    lifetimes to overlap, scheduled ASAP) is a lower bound of the
-    saturation, and :func:`~repro.saturation.bounds.saturation_upper_bound`
-    an upper one.  When the witness's measured register need equals the
-    upper bound, that need is returned with ``method="bounds"``,
-    ``optimal=True`` and the witness schedule -- a proof that Greedy-k is
-    optimal on this instance.  With an explicit *horizon* the witness must
-    also issue ``⊥`` by that cycle: the saturation within the horizon lies
-    between the witness's need and the upper bound.  Otherwise the
-    Section-3 intLP is solved by :func:`intlp_saturation` with the
-    remaining parameters.
+    Three steps, each tried only when the previous one cannot settle RS:
+
+    1. **Bounds.**  When Greedy-k's RS* equals
+       :func:`~repro.saturation.bounds.saturation_upper_bound`, RS* is RS
+       (``method="bounds"``, Greedy-k proven optimal).
+    2. **Search.**  RS is the largest antichain of ``DV_k`` over the valid
+       killing functions ``k`` (on graphs where that characterisation
+       holds, see :func:`_characterised`).  A depth-first branch and bound
+       over killing functions (:func:`_search_killing_functions`) starts
+       from Greedy-k's function and prunes every partial assignment whose
+       order-width bound cannot beat it.  When the root is pruned at once
+       the answer still reads ``method="bounds"``; a search that branches
+       reads ``method="search"`` with ``details["search_nodes"]``.
+    3. **intLP.**  Otherwise -- the characterisation does not hold, the
+       search passes ``_SEARCH_NODE_BUDGET`` nodes, or the winner's
+       witness fails -- the Section-3 intLP is solved by
+       :func:`intlp_saturation` with the remaining parameters.
+
+    The winner of steps 1 and 2 comes with a witness schedule keeping its
+    antichain alive together (:func:`_witness_schedule`), whose register
+    need must be exactly RS; with an explicit *horizon* the witness must
+    also issue ``⊥`` by that cycle.
 
     When the ambient result store is active (see
     :func:`repro.analysis.store.active_store`) a previously proven result
@@ -349,7 +373,7 @@ def exact_saturation(
                                 wall_time=time.perf_counter() - start)
 
     def compute() -> SaturationResult:
-        proven = _saturation_by_bounds(ddg, rtype, start, horizon)
+        proven = _saturation_without_solve(ddg, rtype, start, horizon)
         if proven is not None:
             return proven
         return intlp_saturation(
@@ -360,11 +384,11 @@ def exact_saturation(
     store = active_store()
     if store is None:
         return compute()
-    # A raising solve (no proof within the limit) stores nothing.  The .v2
-    # query keeps results stored before the bounds path existed apart.
+    # A raising solve (no proof within the limit) stores nothing.  The .v3
+    # query keeps results stored before the search existed apart.
     return store.memo(
         context_for(ddg).graph_hash(),
-        "saturation.exact.v2",
+        "saturation.exact.v3",
         {
             "rtype": rtype.name,
             "horizon": horizon,
@@ -376,69 +400,211 @@ def exact_saturation(
     )
 
 
-def _saturation_by_bounds(
+#: Nodes the branch and bound over killing functions may evaluate before
+#: the intLP takes over.  The largest search seen on the test and
+#: benchmark populations evaluates 549 (about 0.4 s on a 2-vCPU machine).
+_SEARCH_NODE_BUDGET = 2000
+
+
+def _saturation_without_solve(
     ddg: DDG, rtype: RegisterType, start: float, horizon: Optional[int]
 ) -> Optional[SaturationResult]:
-    """RS proven by a Greedy-k witness meeting the upper bound, or None.
-
-    A *horizon* also requires the witness to issue ``⊥`` no later than it.
-    """
+    """RS proven by the bounds or by the search, or None (see :func:`exact_saturation`)."""
 
     ctx = context_for(ddg)
+    bottom_ctx = ctx.bottom()
+    g = bottom_ctx.ddg
     upper = saturation_upper_bound(ddg, rtype, ctx)
     greedy = greedy_saturation(ddg, rtype, ctx=ctx)
-    # A schedule of the killed graph needs at most Greedy-k's RS*, so a
-    # witness can only meet the bound when RS* does.
-    if greedy.rs != upper or greedy.killing_function is None:
+    details: Dict[str, object] = {"upper_bound": upper}
+    method = "bounds"
+    if greedy.killing_function is not None and greedy.rs == upper:
+        rs, killing, antichain = greedy.rs, greedy.killing_function, greedy.saturating_values
+    elif not _characterised(g, rtype, bottom_ctx):
         return None
-    g = ctx.bottom().ddg
-    schedule = _greedy_witness(g, rtype, greedy)
+    else:
+        found = _search_killing_functions(g, rtype, greedy)
+        if found is None:
+            return None
+        rs, killing, antichain, root, nodes = found
+        details["root_bound"] = root
+        if nodes > 1:
+            method = "search"
+            details["search_nodes"] = nodes
+    schedule = _witness_schedule(g, rtype, killing, antichain)
     if schedule is None or (horizon is not None and schedule[BOTTOM] > horizon):
         return None
     need, alive = max_simultaneously_alive(value_lifetimes(g, schedule, rtype))
-    if need != upper:
+    if need != rs:
         return None
+    details["witness_register_need"] = need
     return SaturationResult(
         rtype=rtype,
         rs=need,
         saturating_values=tuple(sorted(iv.value for iv in alive)),
-        method="bounds",
-        killing_function=greedy.killing_function,
+        method=method,
+        killing_function=killing,
         witness_schedule=schedule,
         optimal=True,
         wall_time=time.perf_counter() - start,
-        details={"upper_bound": upper, "witness_register_need": need},
+        details=details,
     )
 
 
-def _greedy_witness(
-    g: DDG, rtype: RegisterType, greedy: SaturationResult
-) -> Optional[Schedule]:
-    """A schedule of the bottom-normalised *g* keeping Greedy-k's antichain alive.
+def _characterised(g: DDG, rtype: RegisterType, ctx) -> bool:
+    """True when RS of the bottom-normalised *g* is the largest antichain of
+    ``DV_k`` over its valid killing functions ``k``.
 
-    The killed graph of Greedy-k's killing function ``k`` gets, for every
-    ordered pair ``(u, v)`` of the saturating antichain, an arc
-    ``def(u) -> k(v)`` of latency ``delta_w(u) - delta_r(k(v)) + 1``: ``v``
-    dies after ``u`` is born, so the antichain's lifetimes pairwise overlap
-    and share an instant.  Returns the ASAP schedule of that graph, or None
-    when it is cyclic.
+    Two conditions make a value's lifetime run exactly from its definition
+    to its killer's read in every schedule of a killed graph: no flow arc
+    of *rtype* is shorter than ``delta_w(src) - delta_r(dst)`` (else a
+    lifetime can end before it starts and ``DV_k`` orders values that can
+    be alive together), and every consumer outside ``pkill(u)`` reads
+    ``u`` no later than some potential killer of ``u`` does, by a longest
+    path (else the killer's read is not ``u``'s death).  *ctx* is *g*'s
+    context.
     """
 
-    kf = KillingFunction(rtype, greedy.killing_function)
-    witness = killed_graph(g, kf)
-    for u in greedy.saturating_values:
-        for v in greedy.saturating_values:
-            killer = kf[v]
+    op = g.operation
+    for e in g.flow_edges(rtype):
+        if e.latency < op(e.src).delta_w - op(e.dst).delta_r:
+            return False
+    for value, killers in potential_killers_map(g, rtype, ctx).items():
+        for reader in g.consumers(value.node, rtype):
+            if reader in killers:
+                continue
+            row, read = ctx.longest_paths_from(reader), op(reader).delta_r
+            if not any(row[k] >= read - op(k).delta_r for k in killers):
+                return False
+    return True
+
+
+def _search_killing_functions(
+    g: DDG, rtype: RegisterType, greedy: SaturationResult
+) -> Optional[Tuple[int, Dict[Value, str], Tuple[Value, ...], int, int]]:
+    """Depth-first branch and bound for the largest antichain of ``DV_k``.
+
+    A node fixes the killers of a prefix of the values that have two or
+    more potential killers (values and killers in sorted order, so the
+    search is deterministic); values with one potential killer are fixed
+    at the root.  Its bound is the width of the disjoint-value order of
+    its partially killed graph (:func:`~repro.saturation.dvk.disjoint_value_dag`
+    of the partial function).  Every valid completion ``k`` only adds
+    killing arcs, so longest paths only grow and every arc of that order
+    is an arc of ``DV_k``: the bound is at least ``MA(DV_k)``, and at a
+    leaf it is ``MA(DV_k)``.  A node is pruned when its graph is cyclic
+    (so is every completion's) or its bound is at most the incumbent,
+    which starts as Greedy-k's RS* and killing function.  The root adds
+    no killing arc and tests each value against its potential killers, a
+    subset of the consumers that
+    :func:`~repro.saturation.bounds.saturation_upper_bound` tests, so its
+    order contains that bound's order and it is never wider.
+
+    Returns ``(rs, killing function, antichain, root bound, nodes
+    evaluated)``, or None when the node budget runs out or no valid
+    killing function turns up.
+    """
+
+    pk = potential_killers_map(g, rtype)
+    branch = [(v, sorted(pk[v])) for v in sorted(pk) if len(pk[v]) > 1]
+    best_rs, best = -1, None
+    if greedy.killing_function is not None:
+        best_rs = greedy.rs
+        best = (greedy.killing_function, greedy.saturating_values)
+    root: Optional[int] = None
+    nodes = 0
+    stack = [(0, {v: ks[0] for v, ks in pk.items() if len(ks) == 1})]
+    while stack:
+        depth, mapping = stack.pop()
+        nodes += 1
+        if nodes > _SEARCH_NODE_BUDGET:
+            return None
+        antichain = _node_antichain(g, rtype, mapping, pk)
+        if antichain is None:
+            continue
+        if root is None:
+            root = len(antichain)
+        if len(antichain) <= best_rs:
+            continue
+        if depth == len(branch):
+            best_rs, best = len(antichain), (mapping, tuple(sorted(antichain)))
+            if best_rs == root:
+                break  # no node is wider than the root
+            continue
+        value, killers = branch[depth]
+        for killer in reversed(killers):
+            stack.append((depth + 1, {**mapping, value: killer}))
+    if best is None or root is None:
+        return None
+    return best_rs, dict(best[0]), best[1], root, nodes
+
+
+def _node_antichain(
+    g: DDG,
+    rtype: RegisterType,
+    mapping: Mapping[Value, str],
+    pk: Mapping[Value, List[str]],
+) -> Optional[List[Value]]:
+    """A maximum antichain of the disjoint-value order of the graph killed
+    by the partial function *mapping*, or None when that graph is cyclic.
+
+    Its size is the search node's bound (see :func:`_search_killing_functions`).
+    """
+
+    kf = KillingFunction(rtype, mapping)
+    killed = killed_graph(g, kf, pk=pk)
+    killed_ctx = context_for(killed)
+    if not killed_ctx.is_acyclic():
+        return None
+    return disjoint_value_dag(g, kf, killed, killed_ctx, pk=pk).maximum_antichain()
+
+
+def _witness_schedule(
+    g: DDG,
+    rtype: RegisterType,
+    killing: Mapping[Value, str],
+    antichain: Sequence[Value],
+) -> Optional[Schedule]:
+    """A schedule of the bottom-normalised *g* keeping *antichain* alive together.
+
+    The constraints are the arcs of the killed graph of *killing* plus,
+    for every ordered pair ``(u, v)`` of *antichain* (``u == v``
+    included), ``def(u) -> k(v)`` of latency ``delta_w(u) - delta_r(k(v))
+    + 1``: ``v`` dies after ``u`` is born, so every lifetime is non-empty
+    and the lifetimes pairwise overlap and share an instant.  The overlap
+    arcs may close cycles, of zero or negative weight on offset inputs, so
+    the earliest schedule is found by longest-path relaxation; a positive
+    cycle means no such schedule (None).
+    """
+
+    op = g.operation
+    pk = potential_killers_map(g, rtype)
+    arcs = [
+        (e.src, e.dst, e.latency)
+        for node in context_for(g).topological_order()
+        for e in g.out_edges(node)
+    ]
+    for other, killer in killing_arc_slots(KillingFunction(rtype, killing), pk):
+        arcs.append((other, killer, op(other).delta_r - op(killer).delta_r))
+    for u in antichain:
+        for v in antichain:
+            killer = killing[v]
             # k(v) = def(u) needs no arc: with v and u unordered in DV_k,
             # delta_r(k(v)) > delta_w(u) already.
-            if u == v or killer == u.node:
-                continue
-            latency = g.operation(u.node).delta_w - g.operation(killer).delta_r + 1
-            witness.add_edge(Edge(u.node, killer, latency, DependenceKind.SERIAL, None))
-    witness_ctx = context_for(witness)
-    if not witness_ctx.is_acyclic():
-        return None
-    return Schedule(witness_ctx.asap_times(), g.name)
+            if killer != u.node:
+                arcs.append((u.node, killer, op(u.node).delta_w - op(killer).delta_r + 1))
+    times = dict.fromkeys(g.nodes(), 0)
+    # Without a positive cycle every longest path has fewer arcs than
+    # there are nodes, so the relaxation settles within that many rounds.
+    for _ in range(len(times)):
+        changed = False
+        for src, dst, latency in arcs:
+            if times[src] + latency > times[dst]:
+                times[dst] = times[src] + latency
+                changed = True
+        if not changed:
+            return Schedule(times, g.name)
+    return None
 
 
 def intlp_saturation(

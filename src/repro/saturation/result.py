@@ -28,14 +28,14 @@ class SaturationResult:
         serialization candidates.
     method:
         How the value was obtained (``"greedy-k"``, ``"intlp"``,
-        ``"bounds"``, ``"schedule-enum"``, ...).
+        ``"bounds"``, ``"search"``, ``"schedule-enum"``, ...).
     killing_function:
         The killing function exhibiting the saturation, when the method has
         one (maps each value to the operation chosen as its killer).
     witness_schedule:
         A schedule realising a register need of ``rs``, when available
-        (always available from the intLP and the bounds, optional for
-        heuristics).
+        (always available from the intLP, the bounds and the search,
+        optional for heuristics).
     optimal:
         True when the value is proven to be the exact register saturation.
     wall_time:

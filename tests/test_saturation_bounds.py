@@ -1,37 +1,49 @@
-"""Oracle tests for the order-width upper bound and bounds-first exact RS.
+"""Oracle tests for the order-width upper bound and exact RS without a solve.
 
 On small random DAGs and their reductions the chain
 
     Greedy-k  <=  intLP  =  killing enumeration  <=  saturation_upper_bound
 
 must hold, the must-die-before order must be transitively closed, and every
-``exact_saturation`` answer proven by bounds must equal the intLP and come
-with a witness schedule whose register need, recounted here from the raw
-arcs and offsets, is that answer.  Every reduction of the population,
-successful or not, must keep the input arcs, leave an acyclic graph and
-report the critical path that its raw arcs give.
+``exact_saturation`` answer proven by the bounds or by the search over
+killing functions must equal the intLP and come with a witness schedule
+whose register need, recounted here from the raw arcs and offsets, is that
+answer.  The same holds on an offset population (suite and random DAGs
+retargeted to VLIW read offsets 0-3), where killing enumeration is a
+second oracle.  The search's node bound must cover every completion of a
+partial killing function, found by brute force.  Every reduction of the
+population, successful or not, must keep the input arcs, leave an acyclic
+graph and report the critical path that its raw arcs give.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import random
 from collections import defaultdict
 
 import pytest
 
 from repro.analysis.antichain import maximum_antichain
 from repro.analysis.context import context_for
+from repro.codes import benchmark_suite
 from repro.codes.generator import layered_random_ddg
 from repro.core import DDGBuilder
-from repro.core.types import BOTTOM, INT
+from repro.core.machine import retarget, vliw
+from repro.core.types import BOTTOM, FLOAT, INT, canonical_type
 from repro.errors import SolverError
 from repro.reduction import reduce_saturation_heuristic
 from repro.saturation import (
+    enumerate_killing_functions,
     exact_saturation,
     exact_ilp,
     greedy_saturation,
     intlp_saturation,
+    killed_graph,
     ordered_after,
+    potential_killers_map,
+    saturating_antichain,
     saturation_by_killing_enumeration,
     saturation_by_schedule_enumeration,
     saturation_upper_bound,
@@ -132,7 +144,7 @@ def test_exact_equals_intlp_and_oracles(seed):
         if exact.method == "intlp":
             intlp = exact.rs
         else:
-            assert exact.method == "bounds"
+            assert exact.method in ("bounds", "search")
             intlp = intlp_saturation(ddg.copy(), rtype).rs
             graph = ddg.with_bottom()
             assert _recounted_need(graph, exact.witness_schedule.times, rtype) == exact.rs
@@ -232,6 +244,45 @@ def test_intransitive_order_is_solved():
     assert (result.method, result.rs) == ("intlp", 2)
 
 
+def late_reader_ddg():
+    """``c1`` reads ``u`` 3 cycles into its operation and reaches ``w``,
+    the other consumer of ``u``, by a 0-latency arc, so it is no potential
+    killer of ``u``, yet it may read ``u`` last.  ``DV_k`` then orders
+    ``u`` before ``w``, but issuing ``c1`` in ``w``'s cycle keeps both
+    alive.
+    """
+
+    return (
+        DDGBuilder("late-reader")
+        .default_type("int")
+        .value("u")
+        .op("c1", delta_r=3)
+        .op("p")
+        .value("w")
+        .op("d")
+        .flow("u", "c1")
+        .flow("u", "w")
+        .serial("c1", "w", 0)
+        .serial("p", "w", 5)
+        .flow("w", "d")
+        .build()
+    )
+
+
+def test_late_reader_outside_pkill_leaves_the_search_out():
+    ddg = late_reader_ddg()
+    bottom = context_for(ddg).bottom()
+    assert not exact_ilp._characterised(bottom.ddg, INT, bottom)
+    assert saturation_by_schedule_enumeration(ddg, INT).rs == 2
+    assert greedy_saturation(ddg.copy(), INT).rs == 1 < saturation_upper_bound(ddg, INT)
+
+
+@pytest.mark.needs_ilp_solver
+def test_late_reader_outside_pkill_is_solved():
+    result = exact_saturation(late_reader_ddg(), INT)
+    assert (result.method, result.rs) == ("intlp", 2)
+
+
 @pytest.mark.needs_ilp_solver
 def test_intlp_witness_mismatch_raises(monkeypatch, figure2):
     real_solve = exact_ilp.solve
@@ -243,3 +294,124 @@ def test_intlp_witness_mismatch_raises(monkeypatch, figure2):
     monkeypatch.setattr(exact_ilp, "solve", off_by_one)
     with pytest.raises(SolverError, match="witness schedule needs 4"):
         intlp_saturation(figure2, INT)
+
+
+@functools.lru_cache(maxsize=None)
+def _offset_graphs():
+    """The offset population's DAGs, before retargeting."""
+
+    graphs = [entry.ddg for entry in benchmark_suite(seed=2004, max_size=20)]
+    graphs += [
+        layered_random_ddg(nodes=12, layers=4, max_latency=3, seed=s) for s in range(15)
+    ]
+    return tuple(graphs)
+
+
+def _offset_instances(read_offset):
+    machine = vliw(read_offset=read_offset)
+    for ddg in _offset_graphs():
+        retargeted = retarget(ddg, machine)
+        for rtype in retargeted.register_types():
+            yield retargeted, rtype
+
+
+@pytest.mark.parametrize("read_offset", range(4))
+def test_offset_population_is_settled_without_a_solve(read_offset):
+    for ddg, rtype in _offset_instances(read_offset):
+        graph = ddg.with_bottom()
+        # Greedy-k's witness keeps its whole antichain alive, offsets or not.
+        greedy = greedy_saturation(ddg.copy(), rtype)
+        witness = exact_ilp._witness_schedule(
+            graph, rtype, greedy.killing_function, greedy.saturating_values
+        )
+        assert _recounted_need(graph, witness.times, rtype) == greedy.rs
+        exact = exact_saturation(ddg.copy(), rtype)
+        assert exact.method in ("bounds", "search") and exact.optimal
+        assert _recounted_need(graph, exact.witness_schedule.times, rtype) == exact.rs
+        upper = exact.details["upper_bound"]
+        assert greedy.rs <= exact.rs <= exact.details.get("root_bound", upper) <= upper
+        oracle = saturation_by_killing_enumeration(ddg.copy(), rtype)
+        if oracle.optimal:
+            assert exact.rs == oracle.rs
+
+
+@pytest.mark.needs_ilp_solver
+@pytest.mark.parametrize("read_offset", range(4))
+def test_offset_population_equals_intlp(read_offset):
+    for ddg, rtype in _offset_instances(read_offset):
+        assert exact_saturation(ddg.copy(), rtype).rs == intlp_saturation(ddg.copy(), rtype).rs
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_node_bound_covers_every_completion(seed):
+    """At random partial killing functions, the search's node bound is at
+    least the largest antichain of every valid completion's DV_k, and a
+    cyclic node has no valid completion."""
+
+    ddg = layered_random_ddg(nodes=13, layers=4, max_latency=3, seed=seed)
+    g = context_for(retarget(ddg, vliw(read_offset=seed % 4))).bottom().ddg
+    rng = random.Random(seed)
+    for rtype in g.register_types():
+        pk = potential_killers_map(g, rtype)
+        widths = []
+        for kf in enumerate_killing_functions(g, rtype, only_valid=False):
+            killed = killed_graph(g, kf)
+            if killed.is_acyclic():
+                widths.append((kf.mapping, len(saturating_antichain(g, kf, killed)[0])))
+        multi = sorted(v for v in pk if len(pk[v]) > 1)
+        forced = {v: ks[0] for v, ks in pk.items() if len(ks) == 1}
+        root = exact_ilp._node_antichain(g, rtype, forced, pk)
+        assert len(root) <= saturation_upper_bound(g, rtype)
+        for _ in range(8):
+            fixed = rng.sample(multi, rng.randint(0, len(multi)))
+            partial = {**forced, **{v: rng.choice(sorted(pk[v])) for v in fixed}}
+            node = exact_ilp._node_antichain(g, rtype, partial, pk)
+            completions = [
+                width for mapping, width in widths
+                if all(mapping[v] == k for v, k in partial.items())
+            ]
+            if node is None:
+                assert not completions
+                continue
+            assert len(node) >= max(completions, default=0)
+            if len(fixed) == len(multi):
+                assert completions == [len(node)]
+
+
+@pytest.mark.parametrize(
+    "suite_seed, name, rtype, nodes, rs, greedy_rs",
+    [
+        (2004, "whetstone-m6", "float", 4, 6, 6),
+        (2005, "rand-layered-3", "int", 89, 14, 12),
+    ],
+)
+def test_search_node_counts_are_pinned(suite_seed, name, rtype, nodes, rs, greedy_rs):
+    rtype = canonical_type(rtype)
+    entry = next(e for e in benchmark_suite(seed=suite_seed) if e.name == name)
+    result = exact_saturation(entry.ddg.copy(), rtype)
+    assert (result.method, result.rs, result.details["search_nodes"]) == ("search", rs, nodes)
+    assert greedy_saturation(entry.ddg.copy(), rtype).rs == greedy_rs
+    graph = entry.ddg.with_bottom()
+    assert _recounted_need(graph, result.witness_schedule.times, rtype) == rs
+
+
+@pytest.mark.needs_ilp_solver
+def test_search_past_its_node_budget_leaves_the_answer_to_the_solver(monkeypatch):
+    entry = next(e for e in benchmark_suite(seed=2004) if e.name == "whetstone-m6")
+    searched = exact_saturation(entry.ddg.copy(), FLOAT)
+    monkeypatch.setattr(exact_ilp, "_SEARCH_NODE_BUDGET", searched.details["search_nodes"] - 1)
+    solved = exact_saturation(entry.ddg.copy(), FLOAT)
+    assert (solved.method, solved.rs) == ("intlp", searched.rs)
+
+
+@pytest.mark.needs_ilp_solver
+def test_intlp_counts_no_empty_lifetime():
+    """rand-loop-8 at VLIW read offset 0 has one int value whose lifetime
+    the solver could leave empty while still counting it."""
+
+    entry = next(e for e in benchmark_suite(seed=2004) if e.name == "rand-loop-8")
+    ddg = retarget(entry.ddg, vliw(read_offset=0))
+    graph = ddg.with_bottom()
+    for result in (exact_saturation(ddg.copy(), INT), intlp_saturation(ddg.copy(), INT)):
+        assert result.rs == 1
+        assert _recounted_need(graph, result.witness_schedule.times, INT) == 1
