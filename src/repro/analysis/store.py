@@ -42,7 +42,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Union
 
 try:  # POSIX shard locking; Windows falls back to atomic-replace-only.
     import fcntl
@@ -206,12 +206,12 @@ class ResultStore:
     digits -- the *shard*.  Writes follow a write-ahead discipline: pickle
     into a temp file in the final directory, flush + ``fsync``, then
     :func:`os.replace`, all under an ``flock``-ed per-shard lock file, so
-    concurrent writer *processes* (the batch engine's process policy, a
-    future distributed fleet, parallel CI shards) can only ever race
-    towards complete entries -- a reader observes a miss or a fully-written
-    value, never a torn one.  Reads are lockless (``os.replace`` is atomic)
-    and an entry that fails to load is quarantined under
-    ``<root>/v<schema>/corrupt/`` rather than silently dropped.
+    concurrent writer *processes* (the batch engine's process policy,
+    parallel CI shards) can only ever race towards complete entries -- a
+    reader observes a miss or a fully-written value, never a torn one.
+    Reads are lockless (``os.replace`` is atomic) and an entry that fails
+    to load is quarantined under ``<root>/v<schema>/corrupt/`` rather than
+    silently dropped.
     """
 
     #: Quarantine subdirectory name (inside the schema dir; deliberately
@@ -433,8 +433,9 @@ class ResultStore:
         Write-ahead discipline under the shard lock: temp file in the final
         directory, flush + ``fsync``, ``os.replace`` over the entry, then a
         best-effort directory fsync -- a crash at any point leaves either
-        the old entry or the new one, never a torn file.  Concurrent
-        identical puts are harmless (they serialize on the shard lock).
+        the old entry or the new one, never a torn file.  Concurrent puts
+        of one key serialize on the shard lock and the last one stands;
+        the batch engine writes each key once, after its result is in.
         Write failures propagate to the caller but are counted first
         (:attr:`StoreStats.write_errors`).
         """
@@ -459,43 +460,6 @@ class ResultStore:
         with self._lock:
             self.stats.puts += 1
         return path
-
-    def put_if_absent(
-        self, graph_hash: str, query: str, params: object, value: object
-    ) -> Tuple[object, bool]:
-        """Store *value* unless a fully-written entry already exists.
-
-        Returns ``(winning_value, stored)``: the first fully-written value
-        wins, so an at-least-once producer (the distributed fleet delivers
-        duplicate results by design) converges on one canonical entry --
-        later writers observe the existing value and drop their own.  The
-        existence check and the write happen under the same shard lock, so
-        two racing writers cannot both believe they won.
-        """
-
-        path = self.path_for(graph_hash, query, params)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with self._shard_lock(path.parent):
-            existing = self.get(graph_hash, query, params, default=_MISS)
-            if existing is not _MISS:
-                return existing, False
-            payload = {
-                "schema": STORE_SCHEMA_VERSION,
-                "graph_hash": graph_hash,
-                "query": query,
-                "value": value,
-            }
-            try:
-                self._write_entry(path, payload)
-            except BaseException as exc:
-                with self._lock:
-                    self.stats.write_errors += 1
-                _log.debug("store write failed for %s: %s", path.name, exc)
-                raise
-        self._fsync_dir(path.parent)
-        with self._lock:
-            self.stats.puts += 1
-        return value, True
 
     def _write_entry(self, path: Path, payload: dict) -> None:
         """Write-ahead write of one entry (caller holds the shard lock)."""

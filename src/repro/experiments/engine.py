@@ -47,14 +47,6 @@ deterministic backoff, broken-pool recovery with a
 re-dispatch -- while :meth:`BatchEngine.map_with_outcomes` surfaces a
 structured :class:`~repro.experiments.supervisor.ItemOutcome` per item.
 Without any of that configured, dispatch is exactly the plain pool above.
-
-The ``fleet`` policy goes one step further: :mod:`repro.fleet` leases items
-to a broker-supervised fleet of worker processes over local sockets
-(heartbeat liveness, lease expiry and reassignment, work stealing,
-at-least-once delivery made idempotent through the result store), and
-degrades to the local supervised pool when the fleet substrate fails.
-Results still come back in input order, so a fleet report is byte-identical
-to a serial one.
 """
 
 from __future__ import annotations
@@ -66,6 +58,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar,
 
 from ..analysis import shm
 from ..analysis.store import ResultStore
+from ..errors import ConfigurationError
 from .supervisor import ItemOutcome, Supervisor, SupervisorConfig
 
 __all__ = ["BatchEngine", "run_batch", "POLICIES"]
@@ -74,7 +67,7 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 #: Recognised execution policies, in increasing order of isolation.
-POLICIES = ("serial", "thread", "process", "fleet")
+POLICIES = ("serial", "thread", "process")
 
 #: Internal miss marker for store lookups (results may legitimately be falsy).
 _MISS = object()
@@ -88,9 +81,7 @@ class BatchEngine:
     ----------
     policy:
         ``"serial"`` (run inline, the default), ``"thread"`` or
-        ``"process"`` (:mod:`concurrent.futures` pools), or ``"fleet"``
-        (broker-supervised worker processes over local sockets, see
-        :mod:`repro.fleet`).
+        ``"process"`` (:mod:`concurrent.futures` pools).
     workers:
         Worker count for the parallel policies; defaults to the CPU count.
     supervisor:
@@ -129,7 +120,7 @@ class BatchEngine:
 
     @classmethod
     def from_spec(cls, spec: str) -> "BatchEngine":
-        """Parse ``"serial"``, ``"thread"``, ``"process"``, ``"fleet"``, or ``"thread:4"``."""
+        """Parse ``"serial"``, ``"thread"``, ``"process"``, or ``"thread:4"``."""
 
         policy, _, count = spec.strip().partition(":")
         workers = int(count) if count else None
@@ -137,9 +128,17 @@ class BatchEngine:
 
     @classmethod
     def from_environment(cls, default: str = "serial") -> "BatchEngine":
-        """Engine described by ``REPRO_ENGINE`` (e.g. ``process:8``), if set."""
+        """Engine described by ``REPRO_ENGINE`` (e.g. ``process:8``), if set.
 
-        return cls.from_spec(os.environ.get("REPRO_ENGINE", default))
+        An unknown policy or a malformed worker count raises one
+        :class:`~repro.errors.ConfigurationError` naming the variable.
+        """
+
+        spec = os.environ.get("REPRO_ENGINE", default)
+        try:
+            return cls.from_spec(spec)
+        except ValueError as exc:
+            raise ConfigurationError(f"REPRO_ENGINE={spec!r} is invalid: {exc}") from exc
 
     def resolved_workers(self, n_items: int) -> int:
         workers = self.workers if self.workers is not None else (os.cpu_count() or 1)
@@ -214,19 +213,11 @@ class BatchEngine:
             ]
             miss = [i for i, r in enumerate(results) if r is _MISS]
             computed, miss_outcomes = self._dispatch(
-                fn, [work[i] for i in miss], supervisor,
-                store=store, query=query, keys=[keys[i] for i in miss],
+                fn, [work[i] for i in miss], supervisor
             )
             for i, value, outcome in zip(miss, computed, miss_outcomes):
                 ghash, params = keys[i]
-                if self.policy == "fleet":
-                    # The fleet broker already rendezvoused each result
-                    # through ``put_if_absent`` as it arrived (crash-safe,
-                    # first-fully-written wins); this is an idempotent no-op
-                    # that only fills genuinely missing entries.
-                    value, _ = store.put_if_absent(ghash, query, params, value)
-                else:
-                    store.put(ghash, query, params, value)
+                store.put(ghash, query, params, value)
                 results[i] = value
                 outcome.index = i
                 outcomes[i] = outcome
@@ -238,29 +229,16 @@ class BatchEngine:
         fn: Callable[[T], R],
         work: Sequence[T],
         supervisor: Optional[SupervisorConfig] = None,
-        *,
-        store: Optional[ResultStore] = None,
-        query: str = "",
-        keys: Optional[Sequence[Tuple[str, object]]] = None,
     ) -> Tuple[List[R], List[ItemOutcome]]:
         exporter = None
-        if self.policy in ("process", "fleet") and len(work) > 1 and shm.enabled():
-            # Cross-process policies pickle every task item; export each
+        if self.policy == "process" and len(work) > 1 and shm.enabled():
+            # The process policy pickles every task item; export each
             # distinct graph into shared memory once so the per-item
             # payload shrinks to a segment name.  Segments live until
             # every worker result has been collected.
             exporter = shm.GraphExporter()
             work = [shm.pack_item(exporter, item) for item in work]
         try:
-            if self.policy == "fleet":
-                from ..fleet import run_fleet  # deferred: avoids an import cycle
-
-                return run_fleet(  # type: ignore[return-value]
-                    fn, work,
-                    workers=self.resolved_workers(len(work)),
-                    supervisor=supervisor,
-                    store=store, query=query, keys=keys,
-                )
             if supervisor is not None:
                 runner = Supervisor(
                     self.policy, self.resolved_workers(len(work)), supervisor

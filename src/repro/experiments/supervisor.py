@@ -2,10 +2,9 @@
 
 :class:`~repro.experiments.engine.BatchEngine` alone implements the happy
 path: every worker answers, no worker hangs, the pool never dies.  The
-paper's exact intLP sweeps are multi-day computations, and the ROADMAP's
-distributed-fleet direction makes workers *remote* -- at that scale the
-unhappy paths are the common case.  This module wraps the engine's dispatch
-with a supervisor implementing:
+paper's exact intLP sweeps are multi-day computations, and at that scale
+the unhappy paths are the common case.  This module wraps the engine's
+dispatch with a supervisor implementing:
 
 * **per-item wall-clock timeouts** -- an attempt that exceeds
   ``timeout`` seconds is abandoned and re-dispatched (the abandoned
@@ -61,6 +60,9 @@ __all__ = [
 
 #: Policy degradation ladder after repeated pool failures.
 _DEGRADE = {"process": "thread", "thread": "serial", "serial": "serial"}
+
+#: Seconds a terminated pool worker gets to exit before it is killed.
+_REAP_SECONDS = 5.0
 
 
 def _env_number(name, raw, convert, *, default, minimum):
@@ -395,24 +397,29 @@ class Supervisor:
 
     @staticmethod
     def _teardown_pool(pool) -> None:
-        """Abandon *pool* without waiting: cancel queued work, kill processes.
+        """Abandon *pool*: cancel queued work, terminate and reap processes.
 
         A hung or poisoned worker must not keep burning CPU after the batch
         is decided -- process workers are terminated outright (their results
-        are no longer wanted), thread workers finish their current task and
-        exit (threads cannot be killed; injected hangs are finite).
+        are no longer wanted) and joined, so none of them outlives the batch
+        or attaches a shared-memory graph after the engine has unlinked it;
+        one that ignores the terminate is killed after ``_REAP_SECONDS``.
+        Thread workers finish their current task and exit (threads cannot be
+        killed; injected hangs are finite).
         """
 
         if pool is None:
             return
+        # ``shutdown`` drops the executor's process table: read it first.
+        processes = list((getattr(pool, "_processes", None) or {}).values())
         pool.shutdown(wait=False, cancel_futures=True)
-        processes = getattr(pool, "_processes", None)
-        if processes:
-            for process in list(processes.values()):
-                try:
-                    process.terminate()
-                except Exception:
-                    pass
+        for process in processes:
+            process.terminate()
+        for process in processes:
+            process.join(_REAP_SECONDS)
+            if process.is_alive():
+                process.kill()
+                process.join()
 
     # ------------------------------------------------------------------ #
     # Parallel supervised loop

@@ -16,7 +16,7 @@ worker), and the resolved name travels with the
 Resolution order of ``backend="auto"``:
 
 1. the ``REPRO_ILP_BACKEND`` environment variable, when set (CI and the
-   benchmarks use it to force a backend fleet-wide);
+   benchmarks use it to force one backend on every worker);
 2. the first registered backend, in registration order, that proves
    optimality and whose declared size ceiling fits the model.
 

@@ -17,11 +17,12 @@ alive by some schedule of ``G->k``; the values that can all be alive at the
 same instant therefore form an antichain, and the register saturation
 restricted to the killing function ``k`` is the size of a maximum antichain
 of ``DV_k``.  Maximising over valid killing functions yields the register
-saturation itself -- that is exactly what the Greedy-k heuristic
-approximates, what the exhaustive oracle of
-:mod:`repro.saturation.enumeration` computes on small graphs and what the
-branch and bound of :func:`~repro.saturation.exact_ilp.exact_saturation`
-searches.
+saturation itself on the graphs where :func:`characterised` holds -- that
+is exactly what the Greedy-k heuristic approximates, what the exhaustive
+oracle of :mod:`repro.saturation.enumeration` computes on small graphs and
+what the branch and bound of
+:func:`~repro.saturation.exact_ilp.exact_saturation` searches.  Elsewhere
+the maximum is only a lower bound.
 
 A *partial* killing function leaves some values with potential killers
 unassigned.  Such a value ``u`` is ordered before ``v`` only when every
@@ -43,7 +44,12 @@ from ..core.types import RegisterType, Value, canonical_type
 from .bounds import ordered_after_sets
 from .pkill import KillingFunction, killed_graph, potential_killers_map
 
-__all__ = ["DisjointValueDAG", "disjoint_value_dag", "saturating_antichain"]
+__all__ = [
+    "DisjointValueDAG",
+    "characterised",
+    "disjoint_value_dag",
+    "saturating_antichain",
+]
 
 
 @dataclass(frozen=True)
@@ -147,3 +153,31 @@ def saturating_antichain(
 
     dag = disjoint_value_dag(ddg, kf, killed, killed_ctx=killed_ctx)
     return dag.maximum_antichain(), dag
+
+
+def characterised(g: DDG, rtype: RegisterType, ctx) -> bool:
+    """True when RS of the bottom-normalised *g* is the largest antichain of
+    ``DV_k`` over its valid killing functions ``k``.
+
+    Two conditions make a value's lifetime run exactly from its definition
+    to its killer's read in every schedule of a killed graph: no flow arc
+    of *rtype* is shorter than ``delta_w(src) - delta_r(dst)`` (else a
+    lifetime can end before it starts and ``DV_k`` orders values that can
+    be alive together), and every consumer outside ``pkill(u)`` reads
+    ``u`` no later than some potential killer of ``u`` does, by a longest
+    path (else the killer's read is not ``u``'s death).  *ctx* is *g*'s
+    context.
+    """
+
+    op = g.operation
+    for e in g.flow_edges(rtype):
+        if e.latency < op(e.src).delta_w - op(e.dst).delta_r:
+            return False
+    for value, killers in potential_killers_map(g, rtype, ctx).items():
+        for reader in g.consumers(value.node, rtype):
+            if reader in killers:
+                continue
+            row, read = ctx.longest_paths_from(reader), op(reader).delta_r
+            if not any(row[k] >= read - op(k).delta_r for k in killers):
+                return False
+    return True

@@ -21,7 +21,7 @@ from ..core.graph import DDG
 from ..core.lifetime import register_need, value_lifetimes, max_simultaneously_alive
 from ..core.schedule import enumerate_schedules
 from ..core.types import RegisterType, canonical_type
-from .dvk import saturating_antichain
+from .dvk import characterised, saturating_antichain
 from .pkill import enumerate_killing_functions, killed_graph
 from .result import SaturationResult
 
@@ -84,18 +84,17 @@ def saturation_by_killing_enumeration(
 
     Every valid killing function is evaluated through its disjoint-value DAG;
     the maximum antichain size over all of them is the register saturation
-    (the characterisation underlying the Greedy-k heuristic).
-
-    The characterisation needs every flow arc of *rtype* to be at least
-    ``delta_w(src) - delta_r(dst)`` long.  A shorter arc lets a lifetime end
-    before it starts, and the disjoint-value closure then orders values
-    that can be alive together; on such graphs the result is only a lower
-    bound, ``optimal`` is False and ``details["short_flow_arc"]`` is True.
+    (the characterisation underlying the Greedy-k heuristic) on graphs where
+    :func:`~repro.saturation.dvk.characterised` holds -- the same predicate
+    that lets :func:`~repro.saturation.exact_ilp.exact_saturation` skip the
+    intLP.  Elsewhere the result is only a lower bound: ``optimal`` is False
+    and ``details["characterised"]`` is False.
     """
 
     start = time.perf_counter()
     rtype = canonical_type(rtype)
-    g = context_for(ddg).bottom().ddg
+    bottom = context_for(ddg).bottom()
+    g = bottom.ddg
     best = 0
     best_values = ()
     best_kf = None
@@ -111,23 +110,18 @@ def saturation_by_killing_enumeration(
             best_kf = kf
     if limit is not None and count >= limit:
         truncated = True
-    short_flow_arc = any(
-        e.is_flow
-        and e.rtype == rtype
-        and e.latency < g.operation(e.src).delta_w - g.operation(e.dst).delta_r
-        for e in g.edges()
-    )
+    exact = characterised(g, rtype, bottom)
     return SaturationResult(
         rtype=rtype,
         rs=best,
         saturating_values=best_values,
         method="killing-enum",
         killing_function=dict(best_kf.items()) if best_kf is not None else None,
-        optimal=not truncated and not short_flow_arc,
+        optimal=not truncated and exact,
         wall_time=time.perf_counter() - start,
         details={
             "killing_functions_enumerated": count,
             "truncated": truncated,
-            "short_flow_arc": short_flow_arc,
+            "characterised": exact,
         },
     )

@@ -74,7 +74,7 @@ from ..ilp import (
 from ..ilp.registry import backend_request_token
 from .bounds import ordered_after, saturation_upper_bound
 from .greedy import greedy_saturation
-from .dvk import disjoint_value_dag
+from .dvk import characterised, disjoint_value_dag
 from .pkill import KillingFunction, killed_graph, killing_arc_slots, potential_killers_map
 from .result import SaturationResult
 
@@ -340,10 +340,11 @@ def exact_saturation(
        (``method="bounds"``, Greedy-k proven optimal).
     2. **Search.**  RS is the largest antichain of ``DV_k`` over the valid
        killing functions ``k`` (on graphs where that characterisation
-       holds, see :func:`_characterised`).  A depth-first branch and bound
-       over killing functions (:func:`_search_killing_functions`) starts
-       from Greedy-k's function and prunes every partial assignment whose
-       order-width bound cannot beat it.  When the root is pruned at once
+       holds, see :func:`~repro.saturation.dvk.characterised`).  A
+       depth-first branch and bound over killing functions
+       (:func:`_search_killing_functions`) starts from Greedy-k's function
+       and prunes every partial assignment whose order-width bound cannot
+       beat it.  When the root is pruned at once
        the answer still reads ``method="bounds"``; a search that branches
        reads ``method="search"`` with ``details["search_nodes"]``.
     3. **intLP.**  Otherwise -- the characterisation does not hold, the
@@ -420,7 +421,7 @@ def _saturation_without_solve(
     method = "bounds"
     if greedy.killing_function is not None and greedy.rs == upper:
         rs, killing, antichain = greedy.rs, greedy.killing_function, greedy.saturating_values
-    elif not _characterised(g, rtype, bottom_ctx):
+    elif not characterised(g, rtype, bottom_ctx):
         return None
     else:
         found = _search_killing_functions(g, rtype, greedy)
@@ -449,34 +450,6 @@ def _saturation_without_solve(
         wall_time=time.perf_counter() - start,
         details=details,
     )
-
-
-def _characterised(g: DDG, rtype: RegisterType, ctx) -> bool:
-    """True when RS of the bottom-normalised *g* is the largest antichain of
-    ``DV_k`` over its valid killing functions ``k``.
-
-    Two conditions make a value's lifetime run exactly from its definition
-    to its killer's read in every schedule of a killed graph: no flow arc
-    of *rtype* is shorter than ``delta_w(src) - delta_r(dst)`` (else a
-    lifetime can end before it starts and ``DV_k`` orders values that can
-    be alive together), and every consumer outside ``pkill(u)`` reads
-    ``u`` no later than some potential killer of ``u`` does, by a longest
-    path (else the killer's read is not ``u``'s death).  *ctx* is *g*'s
-    context.
-    """
-
-    op = g.operation
-    for e in g.flow_edges(rtype):
-        if e.latency < op(e.src).delta_w - op(e.dst).delta_r:
-            return False
-    for value, killers in potential_killers_map(g, rtype, ctx).items():
-        for reader in g.consumers(value.node, rtype):
-            if reader in killers:
-                continue
-            row, read = ctx.longest_paths_from(reader), op(reader).delta_r
-            if not any(row[k] >= read - op(k).delta_r for k in killers):
-                return False
-    return True
 
 
 def _search_killing_functions(

@@ -18,23 +18,6 @@ reproducible as a clean one:
   serial policies (where ``os._exit`` would take the test runner down with
   it) this degenerates to a ``crash``.
 
-The distributed fleet (:mod:`repro.fleet`) adds a second fault domain:
-**network faults**, applied by the broker to the messages a worker sends
-rather than to the worker's computation:
-
-* ``drop`` -- the worker's result message is discarded in flight; the
-  lease expires and the item is reassigned (exercising at-least-once
-  delivery);
-* ``delay`` -- the result message is held ``delay_seconds`` before the
-  broker processes it (late answers may race reassigned duplicates);
-* ``dup`` -- the result message is delivered twice (the broker must
-  verify-and-drop the duplicate);
-* ``partition`` -- the broker severs the worker's connection right after
-  granting the lease, so the worker computes into a void and its lease is
-  reassigned on liveness timeout;
-* ``leasekill`` -- the worker process hard-exits (``os._exit``) *while
-  holding a lease*, the fleet equivalent of ``kill``.
-
 The plan travels through the ``REPRO_FAULTS`` environment variable so that
 process-pool workers -- which inherit the dispatcher's environment --
 reconstruct the very same plan.  Syntax: comma-separated clauses,
@@ -42,19 +25,14 @@ reconstruct the very same plan.  Syntax: comma-separated clauses,
 .. code-block:: text
 
     REPRO_FAULTS="crash:0.1,hang:0.05,corrupt@7,kill@3,seed:42,hangdur:1.5"
-    REPRO_FAULTS="drop:0.1,dup@2,partition@3,leasekill@1,delaydur:0.2,seed:7"
 
 where ``kind:rate`` injects *kind* with the given probability per (item,
 attempt) -- decided by a seeded hash, not a shared RNG, so decisions are
 independent of execution order -- and ``kind@index`` plants *kind* at one
 item index (first attempt only).  ``seed:N`` seeds the hash (default 0),
-``hangdur:S`` sets the hang duration in seconds (default 30),
-``delaydur:S`` the network delay (default 0.2), and ``maxattempts:K``
-stops rate-based faults firing beyond attempt ``K`` (default 2), so a
-supervisor (or fleet broker) with a larger retry budget always completes.
-``partition`` and ``leasekill`` are planted-only (no rate form): each one
-costs the fleet a worker connection or process, so an unbounded rate could
-starve the run instead of perturbing it.
+``hangdur:S`` sets the hang duration in seconds (default 30), and
+``maxattempts:K`` stops rate-based faults firing beyond attempt ``K``
+(default 2), so a supervisor with a larger retry budget always completes.
 """
 
 from __future__ import annotations
@@ -62,8 +40,8 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from dataclasses import dataclass, field
-from typing import FrozenSet, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import FrozenSet, Optional
 
 from ..errors import ConfigurationError
 
@@ -82,15 +60,6 @@ FAULTS_ENV = "REPRO_FAULTS"
 
 #: Worker-side fault kinds, in the order rate thresholds are stacked.
 _KINDS = ("crash", "hang", "corrupt", "kill")
-
-#: Broker-side network fault kinds with a rate form, in stacking order.
-_NET_RATE_KINDS = ("drop", "delay", "dup")
-
-#: Network fault kinds that can only be planted at an item index.
-_NET_PLANTED_ONLY = ("partition", "leasekill")
-
-#: All network fault kinds (message- and topology-level).
-_NET_KINDS = _NET_RATE_KINDS + _NET_PLANTED_ONLY
 
 
 class InjectedCrash(RuntimeError):
@@ -134,18 +103,8 @@ class FaultPlan:
     hang_at: FrozenSet[int] = frozenset()
     corrupt_at: FrozenSet[int] = frozenset()
     kill_at: FrozenSet[int] = frozenset()
-    # Network domain (applied by the fleet broker, not inside workers).
-    drop_rate: float = 0.0
-    delay_rate: float = 0.0
-    dup_rate: float = 0.0
-    drop_at: FrozenSet[int] = frozenset()
-    delay_at: FrozenSet[int] = frozenset()
-    dup_at: FrozenSet[int] = frozenset()
-    partition_at: FrozenSet[int] = frozenset()
-    leasekill_at: FrozenSet[int] = frozenset()
     seed: int = 0
     hang_seconds: float = 30.0
-    delay_seconds: float = 0.2
     max_faulty_attempts: int = 2
 
     # ------------------------------------------------------------------ #
@@ -155,9 +114,9 @@ class FaultPlan:
     def parse(cls, spec: str) -> "FaultPlan":
         """Parse a ``REPRO_FAULTS`` specification string."""
 
-        rates = {kind: 0.0 for kind in _KINDS + _NET_RATE_KINDS}
-        at = {kind: set() for kind in _KINDS + _NET_KINDS}
-        seed, hang_seconds, delay_seconds, max_faulty = 0, 30.0, 0.2, 2
+        rates = {kind: 0.0 for kind in _KINDS}
+        at = {kind: set() for kind in _KINDS}
+        seed, hang_seconds, max_faulty = 0, 30.0, 2
         for raw in spec.split(","):
             clause = raw.strip()
             if not clause:
@@ -178,24 +137,16 @@ class FaultPlan:
                 if not 0.0 <= rate <= 1.0:
                     raise ValueError(f"fault rate out of [0,1] in {clause!r}")
                 rates[key] = rate
-            elif key in _NET_PLANTED_ONLY:
-                raise ValueError(
-                    f"{key!r} faults are planted-only (use {key}@index) in {clause!r}"
-                )
             elif key == "seed":
                 seed = int(value)
             elif key == "hangdur":
                 hang_seconds = float(value)
-            elif key == "delaydur":
-                delay_seconds = float(value)
             elif key == "maxattempts":
                 max_faulty = int(value)
             else:
                 raise ValueError(f"unknown fault clause {clause!r}")
-        if sum(rates[kind] for kind in _KINDS) > 1.0:
-            raise ValueError("worker fault rates must sum to at most 1.0")
-        if sum(rates[kind] for kind in _NET_RATE_KINDS) > 1.0:
-            raise ValueError("network fault rates must sum to at most 1.0")
+        if sum(rates.values()) > 1.0:
+            raise ValueError("fault rates must sum to at most 1.0")
         return cls(
             crash_rate=rates["crash"],
             hang_rate=rates["hang"],
@@ -205,17 +156,8 @@ class FaultPlan:
             hang_at=frozenset(at["hang"]),
             corrupt_at=frozenset(at["corrupt"]),
             kill_at=frozenset(at["kill"]),
-            drop_rate=rates["drop"],
-            delay_rate=rates["delay"],
-            dup_rate=rates["dup"],
-            drop_at=frozenset(at["drop"]),
-            delay_at=frozenset(at["delay"]),
-            dup_at=frozenset(at["dup"]),
-            partition_at=frozenset(at["partition"]),
-            leasekill_at=frozenset(at["leasekill"]),
             seed=seed,
             hang_seconds=hang_seconds,
-            delay_seconds=delay_seconds,
             max_faulty_attempts=max_faulty,
         )
 
@@ -223,38 +165,30 @@ class FaultPlan:
         """The inverse of :meth:`parse` (round-trips through the env var)."""
 
         clauses = []
-        for kind in _KINDS + _NET_RATE_KINDS:
+        for kind in _KINDS:
             rate = getattr(self, f"{kind}_rate")
             if rate:
                 clauses.append(f"{kind}:{rate!r}")
-        for kind in _KINDS + _NET_KINDS:
+        for kind in _KINDS:
             for index in sorted(getattr(self, f"{kind}_at")):
                 clauses.append(f"{kind}@{index}")
         clauses.append(f"seed:{self.seed}")
         clauses.append(f"hangdur:{self.hang_seconds!r}")
-        clauses.append(f"delaydur:{self.delay_seconds!r}")
         clauses.append(f"maxattempts:{self.max_faulty_attempts}")
         return ",".join(clauses)
 
     @property
     def active(self) -> bool:
         return bool(
-            any(getattr(self, f"{kind}_rate") for kind in _KINDS + _NET_RATE_KINDS)
-            or any(getattr(self, f"{kind}_at") for kind in _KINDS + _NET_KINDS)
+            any(getattr(self, f"{kind}_rate") for kind in _KINDS)
+            or any(getattr(self, f"{kind}_at") for kind in _KINDS)
         )
 
 
-def _unit_interval(seed: int, index: int, attempt: int, domain: str = "") -> float:
-    """A uniform draw in [0, 1) that is a pure function of its arguments.
-
-    *domain* separates independent fault domains (worker vs. network) so a
-    network draw never correlates with the worker draw of the same
-    attempt; the empty default preserves the historical draw sequence.
-    """
+def _unit_interval(seed: int, index: int, attempt: int) -> float:
+    """A uniform draw in [0, 1) that is a pure function of its arguments."""
 
     token = f"faults|{seed}|{index}|{attempt}"
-    if domain:
-        token = f"{token}|{domain}"
     digest = hashlib.sha256(token.encode()).digest()
     return int.from_bytes(digest[:8], "big") / float(1 << 64)
 
@@ -289,40 +223,6 @@ class FaultInjector:
             if draw < threshold:
                 return kind
         return None
-
-    def decide_network(self, index: int, attempt: int) -> Optional[str]:
-        """The message fault planned for this delivery, or ``None``.
-
-        Evaluated by the broker when a worker's *result* message for
-        ``(index, attempt)`` arrives: ``drop``/``delay``/``dup``.  Planted
-        indices fire on the first attempt only; rate-based decisions stop
-        after ``max_faulty_attempts`` so reassigned work eventually lands.
-        """
-
-        plan = self.plan
-        if attempt == 1:
-            for kind in _NET_RATE_KINDS:
-                if index in getattr(plan, f"{kind}_at"):
-                    return kind
-        if attempt > plan.max_faulty_attempts:
-            return None
-        draw = _unit_interval(plan.seed, index, attempt, domain="net")
-        threshold = 0.0
-        for kind in _NET_RATE_KINDS:
-            threshold += getattr(plan, f"{kind}_rate")
-            if draw < threshold:
-                return kind
-        return None
-
-    def partition_planned(self, index: int, attempt: int) -> bool:
-        """Whether the broker severs the leaseholder's connection (attempt 1)."""
-
-        return attempt == 1 and index in self.plan.partition_at
-
-    def leasekill_planned(self, index: int, attempt: int) -> bool:
-        """Whether the worker hard-exits while holding this lease (attempt 1)."""
-
-        return attempt == 1 and index in self.plan.leasekill_at
 
     # ------------------------------------------------------------------ #
     # Worker-side application

@@ -162,6 +162,24 @@ class TestChaosMatrix:
         assert [e.kind for e in hung.faults] == ["timeout"]
         assert time.monotonic() - t0 < 5.0
 
+    def test_timeout_reaps_hung_process_worker(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "hang@2,hangdur:10.0,seed:3")
+        config = SupervisorConfig(
+            timeout=1.0, max_attempts=4, backoff_base=0.01, backoff_cap=0.05
+        )
+        engine = BatchEngine("process", workers=2, supervisor=config)
+        before = set(multiprocessing.active_children())
+        t0 = time.monotonic()
+        results, outcomes = engine.map_with_outcomes(_square, list(range(5)))
+        assert results == [x * x for x in range(5)]
+        hung = outcomes[2]
+        assert hung.status == "ok" and hung.attempts == 2
+        assert [e.kind for e in hung.faults] == ["timeout"]
+        # The hung worker is terminated and joined with its pool: it does
+        # not sleep out its hang after the batch has returned.
+        assert set(multiprocessing.active_children()) <= before
+        assert time.monotonic() - t0 < 8.0
+
     def test_broken_process_pool_recovers(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "kill@1,seed:3")
         engine = BatchEngine("process", workers=2, supervisor=_FAST_CONFIG)
@@ -330,6 +348,27 @@ def _payload_is_complete(value: dict) -> bool:
 
 
 class TestStoreConcurrency:
+    def test_faulted_supervised_batch_writes_each_key_once(self, tmp_path, monkeypatch):
+        items = list(range(6))
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        reference = BatchEngine("serial").map(_square, items)
+        store = ResultStore(tmp_path)
+        store_kwargs = dict(store=store, query="square",
+                            key_fn=lambda x: (f"item-{x}", {"power": 2}))
+        monkeypatch.setenv("REPRO_FAULTS", "crash@1,corrupt@2")
+        # No deadline: only the two planted faults disturb the batch.
+        config = SupervisorConfig(max_attempts=3, backoff_base=0.01, backoff_cap=0.05)
+        engine = BatchEngine("process", workers=2, supervisor=config)
+        results, outcomes = engine.map_with_outcomes(_square, items, **store_kwargs)
+        assert results == reference
+        assert {o.index for o in outcomes if o.faulted} == {1, 2}
+        # Retried items are written once, after their result is in.
+        assert store.stats.puts == store.entry_count() == len(items)
+        rerun, rerun_outcomes = engine.map_with_outcomes(_square, items, **store_kwargs)
+        assert rerun == reference
+        assert all(o.status == "stored" for o in rerun_outcomes)
+        assert store.stats.puts == store.entry_count() == len(items)
+
     def test_two_writer_processes_never_produce_a_torn_read(self, tmp_path):
         iterations = 60
         writers = [
@@ -406,7 +445,7 @@ def _lambda_result(x):
 
 
 # --------------------------------------------------------------------------- #
-# PR-8 satellites: pickling failures, environment validation, network plans
+# Pickling failures and environment validation
 # --------------------------------------------------------------------------- #
 class TestPicklingFailFast:
     def test_unpicklable_result_is_not_retried(self):
@@ -457,51 +496,9 @@ class TestEnvironmentValidation:
     def test_malformed_fault_spec_names_the_variable(self, monkeypatch):
         from repro.errors import ConfigurationError
 
-        monkeypatch.setenv("REPRO_FAULTS", "crash:not-a-rate")
-        with pytest.raises(ConfigurationError, match="REPRO_FAULTS"):
-            active_plan()
-
-
-class TestNetworkFaultPlans:
-    def test_network_spec_round_trips(self):
-        spec = "drop:0.2,dup@3,partition@1,leasekill@2,delaydur:0.5,seed:4"
-        plan = FaultPlan.parse(spec)
-        assert plan.drop_rate == 0.2
-        assert plan.dup_at == frozenset({3})
-        assert plan.partition_at == frozenset({1})
-        assert plan.leasekill_at == frozenset({2})
-        assert plan.delay_seconds == 0.5
-        assert FaultPlan.parse(plan.to_spec()) == plan
-
-    def test_network_rates_validated_separately_from_worker_rates(self):
-        # Worker and network rate budgets are independent; each must be a
-        # probability distribution on its own.
-        FaultPlan.parse("crash:0.6,drop:0.6")  # fine: different domains
-        with pytest.raises(ValueError):
-            FaultPlan.parse("drop:0.7,delay:0.5")
-
-    def test_planted_only_kinds_reject_rate_form(self):
-        with pytest.raises(ValueError):
-            FaultPlan.parse("partition:0.5")
-        with pytest.raises(ValueError):
-            FaultPlan.parse("leasekill:0.1")
-
-    def test_network_decisions_deterministic_and_domain_separated(self):
-        plan = FaultPlan.parse("drop:0.5,crash:0.5,seed:21")
-        injector = FaultInjector(plan)
-        net = [injector.decide_network(i, 1) for i in range(32)]
-        assert net == [injector.decide_network(i, 1) for i in range(32)]
-        worker = [injector.decide(i, 1) for i in range(32)]
-        # Separate hash domains: the two fault streams must not mirror
-        # each other index for index.
-        assert [d is not None for d in net] != [d is not None for d in worker]
-
-    def test_planted_network_faults_fire_once(self):
-        plan = FaultPlan.parse("dup@4,partition@5,leasekill@6")
-        injector = FaultInjector(plan)
-        assert injector.decide_network(4, 1) == "dup"
-        assert injector.decide_network(4, 2) is None
-        assert injector.partition_planned(5, 1)
-        assert not injector.partition_planned(5, 2)
-        assert injector.leasekill_planned(6, 1)
-        assert not injector.leasekill_planned(6, 2)
+        # ``drop`` and ``leasekill`` are not fault kinds: no dispatcher
+        # applies them, so a plan naming them must not pass for a chaos run.
+        for spec in ("crash:not-a-rate", "drop@0", "leasekill@1"):
+            monkeypatch.setenv("REPRO_FAULTS", spec)
+            with pytest.raises(ConfigurationError, match="REPRO_FAULTS"):
+                active_plan()

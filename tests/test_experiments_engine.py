@@ -13,6 +13,7 @@ import pytest
 
 from repro.codes import benchmark_suite
 from repro.core import superscalar
+from repro.errors import ConfigurationError
 from repro.experiments import (
     BatchEngine,
     run_batch,
@@ -50,11 +51,18 @@ class TestBatchEngine:
         ready = BatchEngine("thread", 2)
         assert BatchEngine.coerce(ready) is ready
 
-    def test_invalid_specs_rejected(self):
+    def test_invalid_specs_rejected(self, monkeypatch):
         with pytest.raises(ValueError):
             BatchEngine("fibers")
         with pytest.raises(ValueError):
             BatchEngine("thread", 0)
+        # Unknown policies, removed ones included, fail by the variable's name.
+        for spec in ("fleet", "fleet:3", "fibers", "thread:0", "thread:x"):
+            with pytest.raises(ValueError):
+                BatchEngine.from_spec(spec)
+            monkeypatch.setenv("REPRO_ENGINE", spec)
+            with pytest.raises(ConfigurationError, match="REPRO_ENGINE"):
+                BatchEngine.from_environment()
 
     @pytest.mark.parametrize("policy", ["serial", "thread"])
     def test_results_in_input_order(self, policy):

@@ -471,20 +471,3 @@ class TestStoreRobustness:
         assert fresh.exists()  # younger than the grace period: spared
         assert reopened.stats.stale_tmp_removed == 1
         assert reopened.get("h", "q", None) == "value"
-
-    def test_put_if_absent_first_fully_written_value_wins(self, tmp_path):
-        store = ResultStore(tmp_path)
-        value, stored = store.put_if_absent("h", "q", {"k": 1}, "first")
-        assert (value, stored) == ("first", True)
-        value, stored = store.put_if_absent("h", "q", {"k": 1}, "second")
-        assert (value, stored) == ("first", False)
-        assert store.get("h", "q", {"k": 1}) == "first"
-
-    def test_put_if_absent_races_settle_on_one_value(self, tmp_path):
-        store = ResultStore(tmp_path)
-        outcomes = [
-            store.put_if_absent("h", "q", None, f"writer-{i}")
-            for i in range(6)
-        ]
-        assert sum(1 for _, stored in outcomes if stored) == 1
-        assert {value for value, _ in outcomes} == {"writer-0"}

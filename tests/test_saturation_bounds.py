@@ -35,6 +35,7 @@ from repro.core.types import BOTTOM, FLOAT, INT, canonical_type
 from repro.errors import SolverError
 from repro.reduction import reduce_saturation_heuristic
 from repro.saturation import (
+    dvk,
     enumerate_killing_functions,
     exact_saturation,
     exact_ilp,
@@ -235,7 +236,7 @@ def test_intransitive_order_falls_back_to_value_count():
     # The DV closure undercounts here, and killing enumeration says so.
     killing = saturation_by_killing_enumeration(ddg, INT)
     assert killing.rs == 1
-    assert not killing.optimal and killing.details["short_flow_arc"]
+    assert not killing.optimal and not killing.details["characterised"]
 
 
 @pytest.mark.needs_ilp_solver
@@ -272,9 +273,13 @@ def late_reader_ddg():
 def test_late_reader_outside_pkill_leaves_the_search_out():
     ddg = late_reader_ddg()
     bottom = context_for(ddg).bottom()
-    assert not exact_ilp._characterised(bottom.ddg, INT, bottom)
+    assert not dvk.characterised(bottom.ddg, INT, bottom)
     assert saturation_by_schedule_enumeration(ddg, INT).rs == 2
     assert greedy_saturation(ddg.copy(), INT).rs == 1 < saturation_upper_bound(ddg, INT)
+    # Killing enumeration undercounts too, and reads the same predicate.
+    killing = saturation_by_killing_enumeration(ddg.copy(), INT)
+    assert killing.rs == 1
+    assert not killing.optimal and not killing.details["characterised"]
 
 
 @pytest.mark.needs_ilp_solver
